@@ -45,9 +45,9 @@ def main(argv=None) -> int:
 
 
 def run(spark, args) -> int:
-    from repro.core.baseline import BaselineEngine
     from repro.core.hac import cluster_users
     from repro.core.metrics import efficacy
+    from repro.core.sliding import BaselineSWEngine
     from repro.dataflow.prefs_sql import (
         derive_prefs_spark,
         pairwise_jaccard_spark,
@@ -99,11 +99,11 @@ def run(spark, args) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
 
     approx_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    base = BaselineEngine(ds.attrs, ds.prefs, ds.domains)
+    base = BaselineSWEngine(ds.attrs, ds.prefs, ds.domains, window=args.window)
     exact_pairs = set()
     for oid, vals in ds.stream:
-        for c in base.insert(oid, vals):
-            exact_pairs.add((c, oid))
+        base.insert(oid, vals)
+        exact_pairs |= base.disseminated
     e = efficacy(approx_pairs, exact_pairs)
     print(
         f"[demo] disseminated {len(approx_pairs)} (user, object) pairs over "

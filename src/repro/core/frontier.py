@@ -1,4 +1,5 @@
-"""Incremental Pareto frontier container shared by all engines.
+"""Incremental Pareto frontier container shared by all engines (the
+sliding-window Pareto buffers of ``core/sliding.py`` extend it).
 
 Implements the comparison step of Alg. 1's ``updateParetoFrontier`` /
 Alg. 2's ``updateParetoFrontierU`` against one :class:`Profile`: the new
@@ -9,6 +10,7 @@ is dominated. Identical objects are both Pareto-optimal (Defs. 2-3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Hashable
 
 import numpy as np
@@ -53,15 +55,19 @@ class Frontier:
         masks = self.profile.compare(self.matrix(), x)
         if masks.dominated_by.any():
             return InsertResult(False, [], masks.n_compared)
-        removed_idx = np.flatnonzero(masks.dominates)
-        removed = [self.ids[i] for i in removed_idx]
-        if len(removed):
-            keep = [i for i in range(len(self.ids)) if i not in set(removed_idx.tolist())]
-            self.ids = [self.ids[i] for i in keep]
-            self._rows = [self._rows[i] for i in keep]
-        self.ids.append(oid)
-        self._rows.append(x)
+        removed = self._evict(masks.dominates)
+        self.add_unchecked(oid, x)
         return InsertResult(True, removed, masks.n_compared)
+
+    def _evict(self, mask: np.ndarray) -> list[ObjectId]:
+        """Drop the rows ``mask`` marks; the rest keep their order."""
+        if not mask.any():
+            return []
+        keep = (~mask).tolist()
+        removed = [oid for oid, k in zip(self.ids, keep) if not k]
+        self.ids = list(compress(self.ids, keep))
+        self._rows = list(compress(self._rows, keep))
+        return removed
 
     def dominated_by_frontier(self, x: np.ndarray) -> tuple[bool, int]:
         """Read-only check used by the mend paths of the SW engines."""

@@ -1,14 +1,34 @@
-"""Algorithms 4-5 — ``BaselineSW`` / ``FilterThenVerifySW``.
+"""Algorithms 1-2 and 4-5 — ``Baseline`` / ``FilterThenVerify``, append-only
+or over a count-based sliding window.
 
-Count-based sliding window of the ``W`` most recent objects: when object
-``o_in`` with timestamp ``in`` arrives, the object with timestamp
-``in - W`` expires first, then ``o_in`` is processed (Sec. VII).
+Both engines take ``window``. With ``None`` they run the append-only
+algorithms (Alg. 1 ``Baseline``, Alg. 2 ``FilterThenVerify``); with ``W``
+they run ``BaselineSW`` / ``FilterThenVerifySW`` (Algs. 4-5), which are
+the same arrival step plus expiry.
 
-Both engines keep *Pareto frontier buffers* (Def. 10): the recent objects
-not dominated by any *later* object. By Thm. 5 an object dominated by a
-later arrival can never re-enter any frontier, so buffers shrink
-aggressively; BaselineSW keeps one buffer per user, FilterThenVerifySW a
-single buffer per cluster (Thm. 6).
+FilterThenVerify keeps, per cluster ``U``, a frontier ``P_U`` under the
+cluster relation (common relation ``≻_U`` for the exact variant,
+approximate relation ``≻_aU`` for FilterThenVerifyApprox). It acts as a
+sieve:
+
+* objects dominated w.r.t. ``≻_U`` are true negatives for every member
+  (Thm. 2 / Thm. 3) and are dropped without any per-user work;
+* objects the new arrival dominates w.r.t. ``≻_U`` are evicted from
+  ``P_U`` *and* from every member frontier containing them (case I of
+  ``updateParetoFrontierU``) — one cluster-level comparison replaces up to
+  ``|U|`` per-user comparisons;
+* survivors are verified per member with the member's own preferences
+  (Alg. 1's ``updateParetoFrontier``).
+
+Sliding window of the ``W`` most recent objects: when object ``o_in``
+with timestamp ``in`` arrives, the object with timestamp ``in - W``
+expires first, then ``o_in`` is processed (Sec. VII).
+
+Windowed engines keep *Pareto frontier buffers* (Def. 10): the recent
+objects not dominated by any *later* object. By Thm. 5 an object
+dominated by a later arrival can never re-enter any frontier, so buffers
+shrink aggressively; BaselineSW keeps one buffer per user,
+FilterThenVerifySW a single buffer per cluster (Thm. 6).
 
 Expiry handling in FilterThenVerifySW extends the paper's pseudocode with
 a per-member mend pass over ``P_U`` (members whose ``P_c`` contained
@@ -18,11 +38,15 @@ drifts from the Def. 9 frontier; see DESIGN.md §4.
 
 Dissemination accounting: ``C_o`` grows both at arrival time and when a
 mend promotes an object into some ``P_c`` mid-lifetime (the paper's
-``mendParetoFrontierSW`` does ``C_o ← C_o ∪ {c}``). Engines accumulate
-all such (user, object) pairs in ``disseminated``.
+``mendParetoFrontierSW`` does ``C_o ← C_o ∪ {c}``). ``insert`` returns
+the arrival's target users; ``disseminated`` holds the (user, object)
+pairs the latest ``insert`` emitted: those targets plus the mend
+promotions of that step. It is emptied in place at the start of every
+``insert``, so a reference to it stays valid.
 """
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -35,96 +59,78 @@ UserId = Hashable
 ObjectId = Hashable
 
 
-class _Buffer:
-    """Pareto frontier buffer (Def. 10) with arrival timestamps."""
+class _Buffer(Frontier):
+    """Pareto frontier buffer (Def. 10).
 
-    def __init__(self, profile: Profile):
-        self.profile = profile
-        self.ids: list[ObjectId] = []
-        self.ts: list[int] = []
-        self._rows: list[np.ndarray] = []
+    Rows are appended on arrival and never reordered, so index order is
+    arrival order.
+    """
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.profile.n_attrs), dtype=np.int32)
-        return np.vstack(self._rows)
-
-    def add(self, oid: ObjectId, t: int, x: np.ndarray) -> None:
-        self.ids.append(oid)
-        self.ts.append(t)
-        self._rows.append(x)
-
-    def discard(self, oid: ObjectId) -> None:
-        try:
-            i = self.ids.index(oid)
-        except ValueError:
-            return
-        del self.ids[i]
-        del self.ts[i]
-        del self._rows[i]
-
-    def refresh(self, oid: ObjectId, t: int, x: np.ndarray) -> int:
+    def refresh(self, oid: ObjectId, x: np.ndarray) -> int:
         """``refreshParetoBufferSW``: drop members the newcomer dominates
         (they precede it, so by Thm. 5 they are done), then append it.
         Returns the number of comparisons performed."""
         masks = self.profile.compare(self.matrix(), x)
-        doomed = set(np.flatnonzero(masks.dominates).tolist())
-        if doomed:
-            keep = [i for i in range(len(self.ids)) if i not in doomed]
-            self.ids = [self.ids[i] for i in keep]
-            self.ts = [self.ts[i] for i in keep]
-            self._rows = [self._rows[i] for i in keep]
-        self.add(oid, t, x)
+        self._evict(masks.dominates)
+        self.add_unchecked(oid, x)
         return masks.n_compared
 
-    def dominated_by(self, x_out: np.ndarray) -> list[tuple[ObjectId, int, np.ndarray]]:
-        """Members strictly dominated by the expiring object's encoding."""
+    def dominated_by(self, x_out: np.ndarray) -> list[tuple[ObjectId, np.ndarray]]:
+        """Members strictly dominated by the expiring object, oldest first."""
         masks = self.profile.compare(self.matrix(), x_out)
-        idx = np.flatnonzero(masks.dominates)
-        return [(self.ids[i], self.ts[i], self._rows[i]) for i in idx]
+        return [(self.ids[i], self._rows[i]) for i in np.flatnonzero(masks.dominates)]
 
 
-class BaselineSWEngine:
-    """Alg. 4: per-user frontier + per-user Pareto buffer."""
+class _Engine:
+    """Arrival order, expiry and emission shared by both engines."""
+
+    def __init__(self, profiles: Mapping[Hashable, Profile], window: int | None):
+        self.window = window
+        # All profiles share `domains`, so dictionary encodings coincide:
+        # encode each object once and reuse the vector everywhere.
+        self._encoder = next(iter(profiles.values()), None)
+        self._history: deque[tuple[ObjectId, ObjectValues]] = deque()
+        self.t = 0
+        self.counter = ComparisonCounter()
+        self.disseminated: set[tuple[UserId, ObjectId]] = set()
+
+    def insert(self, oid: ObjectId, obj: ObjectValues) -> set[UserId]:
+        """Process one arrival; returns its target users ``C_o``."""
+        self.disseminated.clear()
+        self.t += 1
+        if self.window is not None:
+            if len(self._history) == self.window:
+                self._expire(*self._history.popleft())
+            self._history.append((oid, obj))
+        targets = self._arrive(oid, self._encoder.encode(obj))
+        self.disseminated.update((c, oid) for c in targets)
+        return targets
+
+
+class BaselineSWEngine(_Engine):
+    """Alg. 1 / Alg. 4: per-user frontier (+ per-user Pareto buffer)."""
 
     def __init__(
         self,
         attrs: Sequence[str],
         prefs_by_user: Mapping[UserId, UserPrefs],
         domains: Mapping[str, Sequence],
-        window: int,
+        window: int | None = None,
     ):
-        self.window = window
         self.profiles = {c: Profile(attrs, p, domains) for c, p in prefs_by_user.items()}
         self.frontiers = {c: Frontier(p) for c, p in self.profiles.items()}
-        self.buffers = {c: _Buffer(p) for c, p in self.profiles.items()}
-        # All profiles share `domains`, so dictionary encodings coincide:
-        # encode each object once and reuse the vector everywhere.
-        self._encoder = next(iter(self.profiles.values()), None)
-        self._history: dict[int, tuple[ObjectId, ObjectValues]] = {}
-        self.t = 0
-        self.counter = ComparisonCounter()
-        self.disseminated: set[tuple[UserId, ObjectId]] = set()
+        self.buffers = {} if window is None else {c: _Buffer(p) for c, p in self.profiles.items()}
+        super().__init__(self.profiles, window)
 
-    def insert(self, oid: ObjectId, obj: ObjectValues) -> set[UserId]:
-        self.t += 1
-        t_out = self.t - self.window
-        if t_out >= 1:
-            out_id, out_obj = self._history.pop(t_out)
-            self._expire(out_id, out_obj)
-        self._history[self.t] = (oid, obj)
+    def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()
-        x = self._encoder.encode(obj)
         for c, fr in self.frontiers.items():
             res = fr.insert(oid, x)
             self.counter.add("user", res.n_compared)
             if res.is_pareto:
                 targets.add(c)
-                self.disseminated.add((c, oid))
-            self.counter.add("buffer", self.buffers[c].refresh(oid, self.t, x))
+            if self.window is not None:
+                self.counter.add("buffer", self.buffers[c].refresh(oid, x))
         return targets
 
     def _expire(self, out_id: ObjectId, out_obj: ObjectValues) -> None:
@@ -135,7 +141,7 @@ class BaselineSWEngine:
                 # Objects exclusively dominated by o_out may now be Pareto.
                 candidates = buf.dominated_by(x_out)
                 self.counter.add("buffer", len(buf))
-                for cand_id, _, cand_x in sorted(candidates, key=lambda r: r[1]):
+                for cand_id, cand_x in candidates:
                     dominated, n = fr.dominated_by_frontier(cand_x)
                     self.counter.add("user", n)
                     if not dominated:
@@ -150,8 +156,8 @@ class BaselineSWEngine:
         return set(self.buffers[c].ids)
 
 
-class FTVSWEngine:
-    """Alg. 5: cluster-level frontier + single buffer per cluster.
+class FTVSWEngine(_Engine):
+    """Alg. 2 / Alg. 5: cluster-level frontier (+ single buffer per cluster).
 
     Works for both the exact variant (clusters carry ``≻_U``) and the
     approximate one (clusters carry ``≻_aU``).
@@ -163,47 +169,44 @@ class FTVSWEngine:
         clusters: Sequence[Cluster],
         prefs_by_user: Mapping[UserId, UserPrefs],
         domains: Mapping[str, Sequence],
-        window: int,
+        window: int | None = None,
     ):
-        self.window = window
         self.clusters = list(clusters)
+        seen: set[UserId] = set()
+        for cl in self.clusters:
+            for c in cl.members:
+                if c in seen:
+                    raise ValueError(f"user {c!r} appears in more than one cluster")
+                seen.add(c)
         self.cluster_profiles = {
             cl.cluster_id: Profile(attrs, cl.relation, domains) for cl in self.clusters
         }
         self.cluster_frontiers = {
             cid: Frontier(p) for cid, p in self.cluster_profiles.items()
         }
-        self.cluster_buffers = {cid: _Buffer(p) for cid, p in self.cluster_profiles.items()}
+        self.cluster_buffers = (
+            {} if window is None
+            else {cid: _Buffer(p) for cid, p in self.cluster_profiles.items()}
+        )
         self.user_profiles = {
             c: Profile(attrs, prefs_by_user[c], domains)
             for cl in self.clusters
             for c in cl.members
         }
+        # Cluster- and user-level frontiers hold the very same int vectors.
         self.user_frontiers = {c: Frontier(p) for c, p in self.user_profiles.items()}
-        # All profiles share `domains`, so dictionary encodings coincide:
-        # encode each object once; cluster- and user-level frontiers hold
-        # the very same int vectors.
-        self._encoder = next(iter(self.cluster_profiles.values()), None)
-        self._history: dict[int, tuple[ObjectId, ObjectValues]] = {}
-        self.t = 0
-        self.counter = ComparisonCounter()
-        self.disseminated: set[tuple[UserId, ObjectId]] = set()
+        super().__init__(self.cluster_profiles, window)
 
-    def insert(self, oid: ObjectId, obj: ObjectValues) -> set[UserId]:
-        self.t += 1
-        t_out = self.t - self.window
-        if t_out >= 1:
-            out_id, out_obj = self._history.pop(t_out)
-            self._expire(out_id, out_obj)
-        self._history[self.t] = (oid, obj)
+    def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()
-        x = self._encoder.encode(obj)
         for cl in self.clusters:
             cid = cl.cluster_id
             res = self.cluster_frontiers[cid].insert(oid, x)
             self.counter.add("cluster", res.n_compared)
             if res.is_pareto:
                 for gone in res.removed:
+                    # o' left P_U, so it leaves every member frontier too
+                    # (case I; id removal, no comparisons).
                     for c in cl.members:
                         self.user_frontiers[c].discard(gone)
                 for c in cl.members:
@@ -211,8 +214,9 @@ class FTVSWEngine:
                     self.counter.add("user", r.n_compared)
                     if r.is_pareto:
                         targets.add(c)
-                        self.disseminated.add((c, oid))
-            self.counter.add("buffer", self.cluster_buffers[cid].refresh(oid, self.t, x))
+            # else: a true negative for every member (Thm. 2)
+            if self.window is not None:
+                self.counter.add("buffer", self.cluster_buffers[cid].refresh(oid, x))
         return targets
 
     def _expire(self, out_id: ObjectId, out_obj: ObjectValues) -> None:
@@ -226,7 +230,7 @@ class FTVSWEngine:
                 # o_out (w.r.t. ≻_U) may enter P_U.
                 candidates = buf.dominated_by(x_out)
                 self.counter.add("buffer", len(buf))
-                for cand_id, _, cand_x in sorted(candidates, key=lambda r: r[1]):
+                for cand_id, cand_x in candidates:
                     dominated, n = fr_u.dominated_by_frontier(cand_x)
                     self.counter.add("cluster", n)
                     if not dominated:
@@ -257,9 +261,7 @@ class FTVSWEngine:
                         if not mm.dominated_by.any():
                             fr_c.add_unchecked(pu_id, x_c)
                             self.disseminated.add((c, pu_id))
-            else:
-                # o_out ∉ P_U ⟹ o_out ∉ any member frontier (P_c ⊆ P_U).
-                pass
+            # else: o_out ∉ P_U ⟹ o_out ∉ any member frontier (P_c ⊆ P_U).
             buf.discard(out_id)
 
     def cluster_frontier_of(self, cid: Hashable) -> set[ObjectId]:

@@ -23,7 +23,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.common import Cluster
-from repro.core.ftv import FTVEngine
 from repro.core.sliding import FTVSWEngine
 
 OUTPUT_SCHEMA = "cluster_id string, user_id string, obj_id string, ts bigint"
@@ -48,8 +47,6 @@ def _cluster_payload(
 def make_engine(payload: bytes):
     """Rebuild a single-cluster engine from its pickled payload."""
     cl, members, attrs, domains, window = pickle.loads(payload)
-    if window is None:
-        return FTVEngine(attrs, [cl], members, domains)
     return FTVSWEngine(attrs, [cl], members, domains, window=window)
 
 
@@ -81,13 +78,8 @@ def disseminate(
         rows = []
         for t, (oid, vals) in enumerate(bc_batch.value, start=1):
             ts_of[oid] = t
-            for user in engine.insert(oid, vals):
-                rows.append((cid, str(user), oid, t))
-        if hasattr(engine, "disseminated"):
-            emitted = {(r[1], r[2]) for r in rows}
-            for user, oid in engine.disseminated:
-                if (str(user), oid) not in emitted:
-                    rows.append((cid, str(user), oid, ts_of[oid]))
+            engine.insert(oid, vals)
+            rows.extend((cid, str(user), o, ts_of[o]) for user, o in engine.disseminated)
         return pd.DataFrame(rows, columns=["cluster_id", "user_id", "obj_id", "ts"])
 
     keys = spark.createDataFrame(

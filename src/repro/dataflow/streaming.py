@@ -86,23 +86,15 @@ def build_query(
             engine = pickle.loads(state.get[0])
         else:
             engine = make_engine(bc.value[cid])
-        seen_before = set(getattr(engine, "disseminated", set()))
         rows = []
         batch = pd.concat(list(pdf_iter), ignore_index=True)
         batch = batch.sort_values("ts")
         for r in batch.itertuples(index=False):
             t = int(r.ts)
-            targets = engine.insert(r.obj_id, tuple(r.vals))
-            for user in targets:
-                rows.append((cid, str(user), r.obj_id, t))
-            # Sliding-window mend-time promotions that happened while
-            # processing this arrival (C_o grows mid-lifetime, Alg. 4/5).
-            if hasattr(engine, "disseminated"):
-                emitted = {(u, o) for _, u, o, _ in rows}
-                for user, oid in engine.disseminated - seen_before:
-                    if (str(user), oid) not in emitted:
-                        rows.append((cid, str(user), str(oid), t))
-                seen_before = set(engine.disseminated)
+            engine.insert(r.obj_id, tuple(r.vals))
+            # Targets plus the sliding-window mend promotions of this
+            # arrival (C_o grows mid-lifetime, Alg. 4/5), stamped with it.
+            rows.extend((cid, str(user), str(oid), t) for user, oid in engine.disseminated)
         state.update((pickle.dumps(engine),))
         yield pd.DataFrame(rows, columns=["cluster_id", "user_id", "obj_id", "ts"])
 

@@ -26,7 +26,6 @@ import pandas as pd
 
 from repro.datasets.derive import fill_missing_attrs, prefs_from_stats, stats_from_ratings
 from repro.posets.poset import Poset
-from repro.synth_data import zipf_choice
 
 ATTRS = ("actor", "director", "genre", "writer")
 DEFAULT_DOMAIN_SIZES = {"actor": 14, "director": 10, "genre": 8, "writer": 10}
@@ -54,6 +53,15 @@ class PreferenceDataset:
             for t, (oid, vals) in enumerate(self.stream, start=1)
         ]
         return pd.DataFrame(rows)
+
+
+def zipf_choice(g: np.random.Generator, values, size: int, alpha: float = 1.1) -> np.ndarray:
+    """Zipf-weighted draw over an explicit value list (used by the movie /
+    publication generators: catalogs have popularity-skewed attributes)."""
+    ranks = np.arange(1, len(values) + 1)
+    w = 1.0 / ranks**alpha
+    w /= w.sum()
+    return g.choice(np.asarray(values, dtype=object), size=size, p=w)
 
 
 def _group_scores(g, n_groups, domains):

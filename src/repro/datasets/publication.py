@@ -19,9 +19,8 @@ import numpy as np
 import pandas as pd
 
 from repro.datasets.derive import fill_missing_attrs, prefs_from_stats
-from repro.datasets.movie import PreferenceDataset
+from repro.datasets.movie import PreferenceDataset, zipf_choice
 from repro.posets.poset import Poset
-from repro.synth_data import zipf_choice
 
 ATTRS = ("affiliation", "author", "conference", "keyword")
 DEFAULT_DOMAIN_SIZES = {"affiliation": 12, "author": 14, "conference": 8, "keyword": 10}

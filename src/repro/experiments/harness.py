@@ -19,9 +19,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.approx import approx_cluster_relation
-from repro.core.baseline import BaselineEngine
 from repro.core.common import Cluster, make_exact_clusters
-from repro.core.ftv import FTVEngine
 from repro.core.hac import Dendrogram, cluster_users
 from repro.core.metrics import Efficacy, efficacy
 from repro.core.sliding import BaselineSWEngine, FTVSWEngine
@@ -78,22 +76,15 @@ def _run(engine, stream) -> tuple[float, set[tuple[str, str]]]:
     t0 = time.perf_counter()
     pairs: set[tuple[str, str]] = set()
     for oid, vals in stream:
-        for c in engine.insert(oid, vals):
-            pairs.add((c, oid))
-    dt = time.perf_counter() - t0
-    # SW engines also disseminate at mend time; fold those in.
-    if hasattr(engine, "disseminated"):
-        pairs |= engine.disseminated
-    return dt, pairs
+        engine.insert(oid, vals)
+        pairs |= engine.disseminated  # targets plus SW mend promotions
+    return time.perf_counter() - t0, pairs
 
 
 def run_baseline(ds: PreferenceDataset, *, n_objects: int | None = None, window: int | None = None) -> RunResult:
     stream = ds.stream[: n_objects or len(ds.stream)]
     domains = ds.domains
-    if window is None:
-        eng = BaselineEngine(ds.attrs, ds.prefs, domains)
-    else:
-        eng = BaselineSWEngine(ds.attrs, ds.prefs, domains, window=window)
+    eng = BaselineSWEngine(ds.attrs, ds.prefs, domains, window=window)
     dt, pairs = _run(eng, stream)
     return RunResult(
         "BaselineSW" if window else "Baseline",
@@ -119,10 +110,7 @@ def run_ftv(
     window: int | None = None,
 ) -> RunResult:
     stream = ds.stream[: n_objects or len(ds.stream)]
-    if window is None:
-        eng = FTVEngine(ds.attrs, clusters, ds.prefs, ds.domains)
-    else:
-        eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
+    eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
     dt, pairs = _run(eng, stream)
     name = "FilterThenVerify" + ("Approx" if approximate else "Exact") + ("SW" if window else "")
     return RunResult(

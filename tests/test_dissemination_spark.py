@@ -2,11 +2,10 @@
 equal the driver engines pair-for-pair, append-only and windowed."""
 import pytest
 
-from repro.core.baseline import BaselineEngine
-from repro.core.sliding import BaselineSWEngine
 from repro.dataflow.dissemination import disseminate
 from repro.datasets import movie, publication
 from repro.experiments.harness import build_dendrogram, clusters_for
+from tests.driver import driver_pairs
 
 
 @pytest.fixture(scope="module")
@@ -19,20 +18,6 @@ def pub_ds():
     return publication.generate(n_users=12, n_groups=3, n_stream=120)
 
 
-def _driver_pairs(ds, window=None):
-    if window is None:
-        eng = BaselineEngine(ds.attrs, ds.prefs, ds.domains)
-        pairs = set()
-        for oid, vals in ds.stream:
-            for c in eng.insert(oid, vals):
-                pairs.add((c, oid))
-        return pairs
-    eng = BaselineSWEngine(ds.attrs, ds.prefs, ds.domains, window=window)
-    for oid, vals in ds.stream:
-        eng.insert(oid, vals)
-    return set(eng.disseminated)
-
-
 @pytest.mark.parametrize("h", [0.7, 0.55])
 def test_append_only_matches_driver(spark, ds, h):
     dend = build_dendrogram(ds)
@@ -41,7 +26,7 @@ def test_append_only_matches_driver(spark, ds, h):
         spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream
     ).toPandas()
     got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == _driver_pairs(ds)
+    assert got_pairs == driver_pairs(ds)
 
 
 @pytest.mark.parametrize("window", [30, 60])
@@ -52,7 +37,7 @@ def test_sliding_window_matches_driver(spark, ds, window):
         spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream, window=window
     ).toPandas()
     got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == _driver_pairs(ds, window=window)
+    assert got_pairs == driver_pairs(ds, window=window)
 
 
 def test_publication_dataset_append_only(spark, pub_ds):
@@ -62,7 +47,7 @@ def test_publication_dataset_append_only(spark, pub_ds):
         spark, clusters, pub_ds.prefs, pub_ds.attrs, pub_ds.domains, pub_ds.stream
     ).toPandas()
     got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == _driver_pairs(pub_ds)
+    assert got_pairs == driver_pairs(pub_ds)
 
 
 def test_approximate_clusters_lose_only_recall(spark, ds):
@@ -72,7 +57,7 @@ def test_approximate_clusters_lose_only_recall(spark, ds):
         spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream
     ).toPandas()
     approx_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    exact = _driver_pairs(ds)
+    exact = driver_pairs(ds)
     # Thm. 4 consequence: the approximate pipeline is near-precise; any
     # lost pairs are false negatives. Allow the documented tiny
     # false-positive band (objects promoted because their true dominator
@@ -83,11 +68,14 @@ def test_approximate_clusters_lose_only_recall(spark, ds):
 
 
 def test_ts_column_records_arrival_order(spark, ds):
+    """Append-only and windowed: a pair carries its object's arrival ts,
+    also when a mend promoted it later."""
     dend = build_dendrogram(ds)
     clusters = clusters_for(ds, dend, 0.6, approximate=False)
-    got = disseminate(
-        spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream
-    ).toPandas()
     ts_of = {oid: t for t, (oid, _) in enumerate(ds.stream, start=1)}
-    for r in got.itertuples(index=False):
-        assert r.ts == ts_of[r.obj_id]
+    for window in (None, 30):
+        got = disseminate(
+            spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream, window=window
+        ).toPandas()
+        for r in got.itertuples(index=False):
+            assert r.ts == ts_of[r.obj_id], window

@@ -3,10 +3,9 @@ equivalence, Theorem 2 invariants, and the shared-computation accounting."""
 import numpy as np
 import pytest
 
-from repro.core.baseline import BaselineEngine
 from repro.core.common import cluster_common_relation, make_exact_clusters
 from repro.core.dominance import Profile, brute_force_frontier
-from repro.core.ftv import FTVEngine
+from repro.core.sliding import BaselineSWEngine, FTVSWEngine
 from repro.posets.poset import Poset
 
 
@@ -36,7 +35,7 @@ def _random_setup(seed, n_users=6, n_attrs=3, dom_size=5, n_objects=60):
 @pytest.mark.parametrize("seed", range(8))
 def test_baseline_matches_brute_force_each_step(seed):
     attrs, domains, users, stream = _random_setup(seed)
-    eng = BaselineEngine(attrs, users, domains)
+    eng = BaselineSWEngine(attrs, users, domains)
     profiles = {c: Profile(attrs, p, domains) for c, p in users.items()}
     seen = {}
     for oid, obj in stream:
@@ -54,8 +53,8 @@ def test_ftv_exact_matches_baseline_and_theorem2(seed):
     members = sorted(users)
     partition = [members[:3], members[3:]]
     clusters = make_exact_clusters(partition, users, attrs)
-    ftv = FTVEngine(attrs, clusters, users, domains)
-    base = BaselineEngine(attrs, users, domains)
+    ftv = FTVSWEngine(attrs, clusters, users, domains)
+    base = BaselineSWEngine(attrs, users, domains)
     for oid, obj in stream:
         assert ftv.insert(oid, obj) == base.insert(oid, obj), oid
         for cl in clusters:
@@ -70,7 +69,7 @@ def test_cluster_frontier_is_virtual_user_frontier(seed):
     attrs, domains, users, stream = _random_setup(seed)
     members = sorted(users)
     clusters = make_exact_clusters([members], users, attrs)
-    ftv = FTVEngine(attrs, clusters, users, domains)
+    ftv = FTVSWEngine(attrs, clusters, users, domains)
     rel = cluster_common_relation(members, users, attrs)
     u_profile = Profile(attrs, rel, domains)
     seen = {}
@@ -86,8 +85,8 @@ def test_singleton_clusters_degenerate_to_baseline_work(seed):
     relation, so FTV's user-stage work equals Baseline's."""
     attrs, domains, users, stream = _random_setup(seed, n_users=4)
     clusters = make_exact_clusters([[c] for c in sorted(users)], users, attrs)
-    ftv = FTVEngine(attrs, clusters, users, domains)
-    base = BaselineEngine(attrs, users, domains)
+    ftv = FTVSWEngine(attrs, clusters, users, domains)
+    base = BaselineSWEngine(attrs, users, domains)
     for oid, obj in stream:
         assert ftv.insert(oid, obj) == base.insert(oid, obj)
     # Cluster stage does the same comparisons Baseline's user stage does;
@@ -98,7 +97,7 @@ def test_singleton_clusters_degenerate_to_baseline_work(seed):
 def test_insert_returns_target_users_not_cluster_members():
     attrs, domains, users, stream = _random_setup(0, n_users=4)
     clusters = make_exact_clusters([sorted(users)], users, attrs)
-    ftv = FTVEngine(attrs, clusters, users, domains)
+    ftv = FTVSWEngine(attrs, clusters, users, domains)
     for oid, obj in stream[:20]:
         targets = ftv.insert(oid, obj)
         assert targets <= set(users)

@@ -4,10 +4,9 @@ assertion is a number or set the paper states (modulo the two documented
 errata, see DESIGN.md §4)."""
 import pytest
 
-from repro.core.baseline import BaselineEngine
 from repro.core.common import cluster_common_relation, make_exact_clusters
 from repro.core.dominance import Profile, brute_force_frontier, dominates_by_closure
-from repro.core.ftv import FTVEngine
+from repro.core.sliding import BaselineSWEngine, FTVSWEngine
 from repro.datasets import laptop
 
 
@@ -89,7 +88,7 @@ class TestFrontierExamples:
 
 class TestBaselineEngine:
     def test_streaming_matches_paper_frontiers(self):
-        eng = BaselineEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
+        eng = BaselineSWEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
         for i in range(1, 16):
             eng.insert(f"o{i}", laptop.PRODUCTS[f"o{i}"])
         assert eng.frontier_of("c1") == {"o2"}
@@ -97,7 +96,7 @@ class TestBaselineEngine:
 
     def test_target_users_of_each_object(self):
         # Example 2: C_{o2} = {c1, c2}; o3 and o15 target only c2.
-        eng = BaselineEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
+        eng = BaselineSWEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
         targets = {}
         for i in range(1, 17):
             oid = f"o{i}"
@@ -107,7 +106,7 @@ class TestBaselineEngine:
         assert targets["o16"] == set()
 
     def test_incremental_equals_brute_force_at_every_step(self):
-        eng = BaselineEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
+        eng = BaselineSWEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
         profiles = {
             c: Profile(laptop.ATTRS, p, laptop.DOMAINS)
             for c, p in laptop.USER_PREFS.items()
@@ -121,7 +120,7 @@ class TestBaselineEngine:
                 assert eng.frontier_of(c) == brute_force_frontier(profiles[c], seen), oid
 
     def test_comparisons_are_counted(self):
-        eng = BaselineEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
+        eng = BaselineSWEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
         for i in range(1, 16):
             eng.insert(f"o{i}", laptop.PRODUCTS[f"o{i}"])
         assert eng.counter.total > 0
@@ -132,7 +131,7 @@ class TestFilterThenVerifyExample5:
     @pytest.fixture()
     def ftv(self):
         clusters = make_exact_clusters([["c1", "c2"]], laptop.USER_PREFS, laptop.ATTRS)
-        return FTVEngine(laptop.ATTRS, clusters, laptop.USER_PREFS, laptop.DOMAINS)
+        return FTVSWEngine(laptop.ATTRS, clusters, laptop.USER_PREFS, laptop.DOMAINS)
 
     def test_trace_matches_example5(self, ftv):
         for i in range(1, 15):
@@ -150,7 +149,7 @@ class TestFilterThenVerifyExample5:
         assert targets == set()
 
     def test_ftv_matches_baseline_targets_objectwise(self, ftv):
-        base = BaselineEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
+        base = BaselineSWEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
         for i in range(1, 17):
             oid = f"o{i}"
             assert ftv.insert(oid, laptop.PRODUCTS[oid]) == base.insert(
@@ -166,7 +165,7 @@ class TestFilterThenVerifyExample5:
             assert ftv.frontier_of("c2") <= pu
 
     def test_ftv_does_less_cluster_filter_work_than_baseline_total(self, ftv):
-        base = BaselineEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
+        base = BaselineSWEngine(laptop.ATTRS, laptop.USER_PREFS, laptop.DOMAINS)
         for i in range(1, 17):
             oid = f"o{i}"
             ftv.insert(oid, laptop.PRODUCTS[oid])
@@ -177,5 +176,8 @@ class TestFilterThenVerifyExample5:
         clusters = make_exact_clusters(
             [["c1", "c2"], ["c2"]], laptop.USER_PREFS, laptop.ATTRS
         )
-        with pytest.raises(ValueError):
-            FTVEngine(laptop.ATTRS, clusters, laptop.USER_PREFS, laptop.DOMAINS)
+        for window in (None, 5):  # append-only and windowed alike
+            with pytest.raises(ValueError):
+                FTVSWEngine(
+                    laptop.ATTRS, clusters, laptop.USER_PREFS, laptop.DOMAINS, window=window
+                )

@@ -1,13 +1,15 @@
 """Sliding-window engines (Algorithms 4-5): paper examples + brute-force
 window-frontier equivalence at every step on random streams."""
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.baseline import BaselineEngine
 from repro.core.common import cluster_common_relation, make_exact_clusters
 from repro.core.dominance import Profile, brute_force_frontier
 from repro.core.sliding import BaselineSWEngine, FTVSWEngine
-from repro.datasets import laptop
+from repro.datasets import laptop, movie
+from repro.experiments.harness import build_dendrogram, clusters_for
 from repro.posets.poset import Poset
 
 
@@ -234,7 +236,7 @@ class TestRandomStreamInvariants:
         for oid, obj in stream:
             ftv.insert(oid, obj)
             base.insert(oid, obj)
-        assert ftv.disseminated == base.disseminated
+            assert ftv.disseminated == base.disseminated, oid
 
     @pytest.mark.parametrize("seed", range(3))
     def test_theorem5_never_disseminated_after_later_dominator(self, seed):
@@ -257,8 +259,22 @@ class TestRandomStreamInvariants:
     def test_window_larger_than_stream_matches_append_only(self):
         attrs, domains, users, stream = _random_setup(0)
         sw = BaselineSWEngine(attrs, users, domains, window=10_000)
-        append = BaselineEngine(attrs, users, domains)
+        append = BaselineSWEngine(attrs, users, domains)
         for oid, obj in stream:
             assert sw.insert(oid, obj) == append.insert(oid, obj)
         for c in users:
             assert sw.frontier_of(c) == append.frontier_of(c)
+
+
+def test_state_stays_bounded_on_long_stream():
+    """Windowed engine state is O(W), not O(stream length): the pickled
+    engine after 3,000 arrivals is at most 1.2x its size after 1,000."""
+    ds = movie.generate(n_users=12, n_groups=3, n_stream=3000)
+    clusters = clusters_for(ds, build_dendrogram(ds), 0.55, approximate=True)
+    eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=100)
+    size = {}
+    for t, (oid, vals) in enumerate(ds.stream, start=1):
+        eng.insert(oid, vals)
+        if t in (1000, 3000):
+            size[t] = len(pickle.dumps(eng))
+    assert size[3000] <= 1.2 * size[1000], size

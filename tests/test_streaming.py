@@ -2,8 +2,6 @@
 engines; engine state survives a query restart via the checkpoint."""
 import pytest
 
-from repro.core.baseline import BaselineEngine
-from repro.core.sliding import BaselineSWEngine
 from repro.dataflow.streaming import (
     build_query,
     read_disseminations,
@@ -12,6 +10,7 @@ from repro.dataflow.streaming import (
 )
 from repro.datasets import movie
 from repro.experiments.harness import build_dendrogram, clusters_for
+from tests.driver import driver_pairs
 
 
 @pytest.fixture(scope="module")
@@ -22,20 +21,6 @@ def ds():
 @pytest.fixture(scope="module")
 def clusters(ds):
     return clusters_for(ds, build_dendrogram(ds), 0.6, approximate=False)
-
-
-def _driver_pairs(ds, window=None):
-    if window is None:
-        eng = BaselineEngine(ds.attrs, ds.prefs, ds.domains)
-        pairs = set()
-        for oid, vals in ds.stream:
-            for c in eng.insert(oid, vals):
-                pairs.add((c, oid))
-        return pairs
-    eng = BaselineSWEngine(ds.attrs, ds.prefs, ds.domains, window=window)
-    for oid, vals in ds.stream:
-        eng.insert(oid, vals)
-    return set(eng.disseminated)
 
 
 def _collect_pairs(spark, out_dir):
@@ -56,7 +41,7 @@ def test_single_run_matches_driver(spark, ds, clusters, tmp_path):
         checkpoint_dir=str(tmp_path / "ckpt"),
     )
     run_stream_to_completion(spark, writer)
-    assert _collect_pairs(spark, str(tmp_path / "out")) == _driver_pairs(ds)
+    assert _collect_pairs(spark, str(tmp_path / "out")) == driver_pairs(ds)
 
 
 def test_sliding_window_stream_matches_driver(spark, ds, clusters, tmp_path):
@@ -74,7 +59,7 @@ def test_sliding_window_stream_matches_driver(spark, ds, clusters, tmp_path):
         window=window,
     )
     run_stream_to_completion(spark, writer)
-    assert _collect_pairs(spark, str(tmp_path / "out")) == _driver_pairs(ds, window)
+    assert _collect_pairs(spark, str(tmp_path / "out")) == driver_pairs(ds, window)
 
 
 def test_state_survives_restart(spark, ds, clusters, tmp_path):
@@ -107,4 +92,4 @@ def test_state_survives_restart(spark, ds, clusters, tmp_path):
         for t, (oid, vals) in enumerate(ds.stream[half:], start=half + 1):
             f.write(json.dumps({"obj_id": oid, "ts": t, "vals": list(vals)}) + "\n")
     run_stream_to_completion(spark, make_writer())
-    assert _collect_pairs(spark, out_dir) == _driver_pairs(ds)
+    assert _collect_pairs(spark, out_dir) == driver_pairs(ds)
