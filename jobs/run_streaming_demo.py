@@ -47,7 +47,6 @@ def main(argv=None) -> int:
 def run(spark, args) -> int:
     from repro.core.hac import cluster_users
     from repro.core.metrics import efficacy
-    from repro.core.sliding import BaselineSWEngine
     from repro.dataflow.prefs_sql import (
         derive_prefs_spark,
         pairwise_jaccard_spark,
@@ -60,7 +59,7 @@ def run(spark, args) -> int:
         write_stream_files,
     )
     from repro.datasets import movie
-    from repro.experiments.harness import clusters_for
+    from repro.experiments.harness import clusters_for, run_baseline
 
     ds = movie.generate(
         n_users=args.users, n_groups=args.groups, n_stream=args.stream
@@ -99,11 +98,7 @@ def run(spark, args) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
 
     approx_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    base = BaselineSWEngine(ds.attrs, ds.prefs, ds.domains, window=args.window)
-    exact_pairs = set()
-    for oid, vals in ds.stream:
-        base.insert(oid, vals)
-        exact_pairs |= base.disseminated
+    exact_pairs = run_baseline(ds, window=args.window).disseminated
     e = efficacy(approx_pairs, exact_pairs)
     print(
         f"[demo] disseminated {len(approx_pairs)} (user, object) pairs over "

@@ -46,7 +46,6 @@ class Profile:
         domains: Mapping[str, Sequence[Value]],
     ):
         self.attrs = tuple(attrs)
-        self.prefs = {d: prefs[d] for d in self.attrs}
         self._index: list[dict[Value, int]] = []
         self._geq: list[np.ndarray] = []
         for d in self.attrs:

@@ -6,6 +6,11 @@ Alg. 2's ``updateParetoFrontierU`` against one :class:`Profile`: the new
 object is compared to every current frontier member (counted as work),
 dominated members are evicted, and the object joins the frontier unless it
 is dominated. Identical objects are both Pareto-optimal (Defs. 2-3).
+
+A frontier stores its members once: ``ids`` plus one ``int32`` matrix whose
+row ``i`` is the encoding of ``ids[i]``. Every update binds a new matrix
+and never writes into the old one, so an array taken from :meth:`matrix`
+(or a row of it) stays valid while the frontier changes.
 """
 from __future__ import annotations
 
@@ -33,22 +38,13 @@ class Frontier:
     def __init__(self, profile: Profile):
         self.profile = profile
         self.ids: list[ObjectId] = []
-        self._rows: list[np.ndarray] = []
+        self._matrix = np.zeros((0, profile.n_attrs), dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, oid: ObjectId) -> bool:
-        return oid in self._pos
-
-    @property
-    def _pos(self) -> dict[ObjectId, int]:
-        return {oid: i for i, oid in enumerate(self.ids)}
-
     def matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.profile.n_attrs), dtype=np.int32)
-        return np.vstack(self._rows)
+        return self._matrix
 
     def insert(self, oid: ObjectId, x: np.ndarray) -> InsertResult:
         """Compare-and-update per Alg. 1; returns eviction list and work."""
@@ -63,10 +59,11 @@ class Frontier:
         """Drop the rows ``mask`` marks; the rest keep their order."""
         if not mask.any():
             return []
-        keep = (~mask).tolist()
-        removed = [oid for oid, k in zip(self.ids, keep) if not k]
-        self.ids = list(compress(self.ids, keep))
-        self._rows = list(compress(self._rows, keep))
+        keep = ~mask
+        flags = keep.tolist()
+        removed = [oid for oid, k in zip(self.ids, flags) if not k]
+        self.ids = list(compress(self.ids, flags))
+        self._matrix = self._matrix[keep]
         return removed
 
     def dominated_by_frontier(self, x: np.ndarray) -> tuple[bool, int]:
@@ -76,7 +73,7 @@ class Frontier:
 
     def add_unchecked(self, oid: ObjectId, x: np.ndarray) -> None:
         self.ids.append(oid)
-        self._rows.append(x)
+        self._matrix = np.vstack((self._matrix, x))
 
     def discard(self, oid: ObjectId) -> bool:
         """Remove ``oid`` if present (no comparisons — id lookup only)."""
@@ -85,5 +82,5 @@ class Frontier:
         except ValueError:
             return False
         del self.ids[i]
-        del self._rows[i]
+        self._matrix = np.delete(self._matrix, i, axis=0)
         return True

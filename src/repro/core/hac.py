@@ -71,10 +71,10 @@ class _ExactRep:
 
     def __init__(self, attrs: Sequence[str], prefs_by_user: Mapping[UserId, UserPrefs]):
         self.attrs = tuple(attrs)
-        self.prefs = prefs_by_user
+        self.user_prefs = prefs_by_user
 
     def make(self, members: tuple[UserId, ...]) -> dict[str, Poset]:
-        return {d: common_relation(self.prefs[c][d] for c in members) for d in self.attrs}
+        return {d: common_relation(self.user_prefs[c][d] for c in members) for d in self.attrs}
 
     def sim(self, r1: dict[str, Poset], r2: dict[str, Poset], measure: str) -> float:
         f = EXACT_MEASURES[measure]
@@ -91,13 +91,13 @@ class _VectorRep:
         weighted: bool,
     ):
         self.attrs = tuple(attrs)
-        self.prefs = prefs_by_user
+        self.user_prefs = prefs_by_user
         self.weighted = weighted
 
     def make(self, members: tuple[UserId, ...]) -> dict[str, dict]:
         return {
             d: tuple_frequencies(
-                members, {c: self.prefs[c][d] for c in members}, weighted=self.weighted
+                members, {c: self.user_prefs[c][d] for c in members}, weighted=self.weighted
             )
             for d in self.attrs
         }

@@ -77,8 +77,9 @@ class _Buffer(Frontier):
 
     def dominated_by(self, x_out: np.ndarray) -> list[tuple[ObjectId, np.ndarray]]:
         """Members strictly dominated by the expiring object, oldest first."""
-        masks = self.profile.compare(self.matrix(), x_out)
-        return [(self.ids[i], self._rows[i]) for i in np.flatnonzero(masks.dominates)]
+        rows = self.matrix()
+        masks = self.profile.compare(rows, x_out)
+        return [(self.ids[i], rows[i]) for i in np.flatnonzero(masks.dominates)]
 
 
 class _Engine:
@@ -105,6 +106,22 @@ class _Engine:
         targets = self._arrive(oid, self._encoder.encode(obj))
         self.disseminated.update((c, oid) for c in targets)
         return targets
+
+    def _mend(self, fr: Frontier, buf: _Buffer, x_out: np.ndarray, stage: str) -> list[ObjectId]:
+        """``mendParetoFrontierSW`` after ``o_out`` left ``fr``: buffer
+        objects dominated by ``o_out`` join ``fr`` unless a member of it
+        dominates them. Returns the promoted ids; comparisons against
+        ``fr`` count under ``stage``."""
+        candidates = buf.dominated_by(x_out)
+        self.counter.add("buffer", len(buf))
+        promoted = []
+        for cand_id, cand_x in candidates:
+            dominated, n = fr.dominated_by_frontier(cand_x)
+            self.counter.add(stage, n)
+            if not dominated:
+                fr.add_unchecked(cand_id, cand_x)
+                promoted.append(cand_id)
+        return promoted
 
 
 class BaselineSWEngine(_Engine):
@@ -139,14 +156,8 @@ class BaselineSWEngine(_Engine):
             buf = self.buffers[c]
             if fr.discard(out_id):
                 # Objects exclusively dominated by o_out may now be Pareto.
-                candidates = buf.dominated_by(x_out)
-                self.counter.add("buffer", len(buf))
-                for cand_id, cand_x in candidates:
-                    dominated, n = fr.dominated_by_frontier(cand_x)
-                    self.counter.add("user", n)
-                    if not dominated:
-                        fr.add_unchecked(cand_id, cand_x)
-                        self.disseminated.add((c, cand_id))
+                promoted = self._mend(fr, buf, x_out, "user")
+                self.disseminated.update((c, oid) for oid in promoted)
             buf.discard(out_id)
 
     def frontier_of(self, c: UserId) -> set[ObjectId]:
@@ -228,13 +239,7 @@ class FTVSWEngine(_Engine):
             if fr_u.discard(out_id):
                 # Cluster-level mend: buffer objects dominated only by
                 # o_out (w.r.t. ≻_U) may enter P_U.
-                candidates = buf.dominated_by(x_out)
-                self.counter.add("buffer", len(buf))
-                for cand_id, cand_x in candidates:
-                    dominated, n = fr_u.dominated_by_frontier(cand_x)
-                    self.counter.add("cluster", n)
-                    if not dominated:
-                        fr_u.add_unchecked(cand_id, cand_x)
+                self._mend(fr_u, buf, x_out, "cluster")
                 # Per-member mend (see module docstring): members whose
                 # P_c contained o_out re-check P_U members dominated by
                 # o_out under their own preferences. A candidate must be
@@ -242,21 +247,21 @@ class FTVSWEngine(_Engine):
                 # just the current P_c — its c-dominator may itself be a
                 # not-yet-promoted candidate.
                 pu_ids = list(fr_u.ids)
-                pu_rows = fr_u.matrix()
+                pu_matrix = fr_u.matrix()
                 for c in cl.members:
                     fr_c = self.user_frontiers[c]
                     if not fr_c.discard(out_id):
                         continue
                     p = self.user_profiles[c]
-                    out_dom = p.compare(pu_rows, x_out)
+                    out_dom = p.compare(pu_matrix, x_out)
                     self.counter.add("user", out_dom.n_compared)
                     in_pc = set(fr_c.ids)
                     for i in np.flatnonzero(out_dom.dominates):
                         pu_id = pu_ids[i]
                         if pu_id in in_pc:
                             continue
-                        x_c = pu_rows[i]
-                        mm = p.compare(pu_rows, x_c)
+                        x_c = pu_matrix[i]
+                        mm = p.compare(pu_matrix, x_c)
                         self.counter.add("user", mm.n_compared)
                         if not mm.dominated_by.any():
                             fr_c.add_unchecked(pu_id, x_c)

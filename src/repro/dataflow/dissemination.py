@@ -63,8 +63,9 @@ def disseminate(
     """Replay ``stream`` against every cluster partition in parallel.
 
     Returns a DataFrame (cluster_id, user_id, obj_id, ts) of disseminated
-    pairs — including sliding-window mend-time promotions, whose ``ts`` is
-    the arrival timestamp of the promoted object.
+    pairs. ``ts`` is the arrival step that emitted the pair: the object's
+    own arrival, or for a sliding-window mend promotion the later arrival
+    whose expiry promoted it (as in ``repro.dataflow.streaming``).
     """
     payloads = _cluster_payload(clusters, prefs_by_user, attrs, domains, window)
     batch = [(str(oid), tuple(vals)) for oid, vals in stream]
@@ -74,12 +75,10 @@ def disseminate(
     def run_cluster(pdf: pd.DataFrame) -> pd.DataFrame:
         cid = str(pdf["cluster_id"].iloc[0])
         engine = make_engine(bc_payloads.value[cid])
-        ts_of = {}
         rows = []
         for t, (oid, vals) in enumerate(bc_batch.value, start=1):
-            ts_of[oid] = t
             engine.insert(oid, vals)
-            rows.extend((cid, str(user), o, ts_of[o]) for user, o in engine.disseminated)
+            rows.extend((cid, str(user), o, t) for user, o in engine.disseminated)
         return pd.DataFrame(rows, columns=["cluster_id", "user_id", "obj_id", "ts"])
 
     keys = spark.createDataFrame(

@@ -102,12 +102,6 @@ def derive_prefs_spark(
     return spark.sql(pref_pairs_sql())
 
 
-def pref_pairs_from_stats_spark(spark: SparkSession, stats: DataFrame) -> DataFrame:
-    """stats DataFrame → preference tuples (publication dataset path)."""
-    stats.createOrReplaceTempView("stats")
-    return spark.sql(pref_pairs_sql())
-
-
 def common_prefs_spark(
     spark: SparkSession, prefs: DataFrame, membership: DataFrame
 ) -> DataFrame:

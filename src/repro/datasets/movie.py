@@ -19,7 +19,7 @@ Deterministic in ``seed``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -45,7 +45,6 @@ class PreferenceDataset:
     stream: list[tuple[str, tuple[str, ...]]]  #: (object_id, attr values)
     ratings: pd.DataFrame | None = None  #: movie only: user_id, obj_id, rating
     hist_objects: pd.DataFrame | None = None  #: movie only: obj_id + attrs
-    extra: dict = field(default_factory=dict)
 
     def stream_objects_df(self) -> pd.DataFrame:
         rows = [

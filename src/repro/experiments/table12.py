@@ -50,7 +50,6 @@ def run(
     w_values: tuple[int, ...] = W_VALUES,
     h_values: tuple[float, ...] = H_VALUES,
     threshold2: float = 0.6,
-    check_exact: bool = True,
     seed: int = 7,
 ) -> list[Row]:
     ds = make_dataset(dataset, n_users=n_users, n_groups=n_groups, n_stream=n_stream, seed=seed)
@@ -58,17 +57,16 @@ def run(
     rows = []
     for w in w_values:
         base = run_baseline(ds, window=w)
-        if check_exact:
-            # One exact SW run per window doubles as an end-to-end check.
-            exact = run_ftv(
-                ds,
-                clusters_for(ds, dend, h_values[0], approximate=False),
-                approximate=False,
-                h=h_values[0],
-                window=w,
-            )
-            if exact.disseminated != base.disseminated:
-                raise AssertionError(f"FilterThenVerifyExactSW diverged at W={w}")
+        # One exact SW run per window doubles as an end-to-end check.
+        exact = run_ftv(
+            ds,
+            clusters_for(ds, dend, h_values[0], approximate=False),
+            approximate=False,
+            h=h_values[0],
+            window=w,
+        )
+        if exact.disseminated != base.disseminated:
+            raise AssertionError(f"FilterThenVerifyExactSW diverged at W={w}")
         for h in h_values:
             approx = run_ftv(
                 ds,

@@ -2,10 +2,10 @@
 equal the driver engines pair-for-pair, append-only and windowed."""
 import pytest
 
+from repro.core.sliding import FTVSWEngine
 from repro.dataflow.dissemination import disseminate
 from repro.datasets import movie, publication
-from repro.experiments.harness import build_dendrogram, clusters_for
-from tests.driver import driver_pairs
+from repro.experiments.harness import build_dendrogram, clusters_for, run_baseline
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def test_append_only_matches_driver(spark, ds, h):
         spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream
     ).toPandas()
     got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == driver_pairs(ds)
+    assert got_pairs == run_baseline(ds).disseminated
 
 
 @pytest.mark.parametrize("window", [30, 60])
@@ -37,7 +37,7 @@ def test_sliding_window_matches_driver(spark, ds, window):
         spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream, window=window
     ).toPandas()
     got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == driver_pairs(ds, window=window)
+    assert got_pairs == run_baseline(ds, window=window).disseminated
 
 
 def test_publication_dataset_append_only(spark, pub_ds):
@@ -47,7 +47,7 @@ def test_publication_dataset_append_only(spark, pub_ds):
         spark, clusters, pub_ds.prefs, pub_ds.attrs, pub_ds.domains, pub_ds.stream
     ).toPandas()
     got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == driver_pairs(pub_ds)
+    assert got_pairs == run_baseline(pub_ds).disseminated
 
 
 def test_approximate_clusters_lose_only_recall(spark, ds):
@@ -57,7 +57,7 @@ def test_approximate_clusters_lose_only_recall(spark, ds):
         spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream
     ).toPandas()
     approx_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    exact = driver_pairs(ds)
+    exact = run_baseline(ds).disseminated
     # Thm. 4 consequence: the approximate pipeline is near-precise; any
     # lost pairs are false negatives. Allow the documented tiny
     # false-positive band (objects promoted because their true dominator
@@ -68,14 +68,19 @@ def test_approximate_clusters_lose_only_recall(spark, ds):
 
 
 def test_ts_column_records_arrival_order(spark, ds):
-    """Append-only and windowed: a pair carries its object's arrival ts,
-    also when a mend promoted it later."""
+    """Append-only and windowed: a pair carries the arrival step that
+    emitted it, so a mend promotion carries the arrival whose expiry
+    promoted it (the streaming query's stamp)."""
     dend = build_dendrogram(ds)
     clusters = clusters_for(ds, dend, 0.6, approximate=False)
-    ts_of = {oid: t for t, (oid, _) in enumerate(ds.stream, start=1)}
     for window in (None, 30):
         got = disseminate(
             spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream, window=window
         ).toPandas()
-        for r in got.itertuples(index=False):
-            assert r.ts == ts_of[r.obj_id], window
+        got_ts = {(r.user_id, r.obj_id): r.ts for r in got.itertuples(index=False)}
+        eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
+        want_ts = {}
+        for t, (oid, vals) in enumerate(ds.stream, start=1):
+            eng.insert(oid, vals)
+            want_ts.update(dict.fromkeys(eng.disseminated, t))
+        assert len(got) == len(got_ts) and got_ts == want_ts, window

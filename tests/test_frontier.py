@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.dominance import Profile
 from repro.core.frontier import Frontier
+from repro.core.sliding import _Buffer
 from repro.posets.poset import Poset
 
 
@@ -69,9 +70,35 @@ class TestMaintenance:
     def test_discard_absent(self, profile, frontier):
         assert frontier.discard("nope") is False
 
-    def test_contains(self, profile, frontier):
-        frontier.insert("o1", enc(profile, ("a", "a")))
-        assert "o1" in frontier and "o2" not in frontier
+    def test_matrix_rows_follow_ids(self, profile, frontier):
+        """Row i of ``matrix()`` encodes ``ids[i]`` through evictions, a
+        middle discard and buffer refreshes; arrays handed out before an
+        update are not written by it."""
+        objs = {"o1": ("b", "c"), "o2": ("c", "b"), "o3": ("a", "c"),
+                "o4": ("c", "a"), "o5": ("b", "b")}
+
+        def step(fr, update, *args):
+            before = fr.matrix()
+            kept = before.copy()
+            update(*args)
+            assert np.array_equal(before, kept)
+            assert fr.matrix().tolist() == [enc(profile, objs[o]).tolist() for o in fr.ids]
+
+        buffer = _Buffer(profile)
+        for oid, v in objs.items():
+            step(frontier, frontier.insert, oid, enc(profile, v))
+            step(buffer, buffer.refresh, oid, enc(profile, v))
+        assert frontier.ids == buffer.ids == ["o3", "o4", "o5"]  # o1, o2 evicted
+        step(frontier, frontier.discard, "o4")
+        assert frontier.ids == ["o3", "o5"]
+        objs["o6"] = ("a", "a")
+        handed_out = buffer.dominated_by(enc(profile, objs["o6"]))
+        step(buffer, buffer.discard, "o4")
+        step(buffer, buffer.refresh, "o6", enc(profile, objs["o6"]))
+        assert buffer.ids == ["o6"]
+        assert [(o, x.tolist()) for o, x in handed_out] == [
+            (o, enc(profile, objs[o]).tolist()) for o in ("o3", "o4", "o5")
+        ]
 
     def test_dominated_by_frontier_readonly(self, profile, frontier):
         frontier.insert("o1", enc(profile, ("a", "a")))

@@ -2,6 +2,7 @@
 engines; engine state survives a query restart via the checkpoint."""
 import pytest
 
+from repro.core.sliding import FTVSWEngine
 from repro.dataflow.streaming import (
     build_query,
     read_disseminations,
@@ -9,8 +10,7 @@ from repro.dataflow.streaming import (
     write_stream_files,
 )
 from repro.datasets import movie
-from repro.experiments.harness import build_dendrogram, clusters_for
-from tests.driver import driver_pairs
+from repro.experiments.harness import build_dendrogram, clusters_for, run_baseline
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def test_single_run_matches_driver(spark, ds, clusters, tmp_path):
         checkpoint_dir=str(tmp_path / "ckpt"),
     )
     run_stream_to_completion(spark, writer)
-    assert _collect_pairs(spark, str(tmp_path / "out")) == driver_pairs(ds)
+    assert _collect_pairs(spark, str(tmp_path / "out")) == run_baseline(ds).disseminated
 
 
 def test_sliding_window_stream_matches_driver(spark, ds, clusters, tmp_path):
@@ -59,7 +59,17 @@ def test_sliding_window_stream_matches_driver(spark, ds, clusters, tmp_path):
         window=window,
     )
     run_stream_to_completion(spark, writer)
-    assert _collect_pairs(spark, str(tmp_path / "out")) == driver_pairs(ds, window)
+    got = read_disseminations(spark, str(tmp_path / "out")).toPandas()
+    got_ts = {(r.user_id, r.obj_id): r.ts for r in got.itertuples(index=False)}
+    assert set(got_ts) == run_baseline(ds, window=window).disseminated
+    # Each pair is stamped with the arrival that emitted it, mend
+    # promotions included.
+    eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
+    want_ts = {}
+    for t, (oid, vals) in enumerate(ds.stream, start=1):
+        eng.insert(oid, vals)
+        want_ts.update(dict.fromkeys(eng.disseminated, t))
+    assert len(got) == len(got_ts) and got_ts == want_ts
 
 
 def test_state_survives_restart(spark, ds, clusters, tmp_path):
@@ -92,4 +102,4 @@ def test_state_survives_restart(spark, ds, clusters, tmp_path):
         for t, (oid, vals) in enumerate(ds.stream[half:], start=half + 1):
             f.write(json.dumps({"obj_id": oid, "ts": t, "vals": list(vals)}) + "\n")
     run_stream_to_completion(spark, make_writer())
-    assert _collect_pairs(spark, out_dir) == driver_pairs(ds)
+    assert _collect_pairs(spark, out_dir) == run_baseline(ds).disseminated
