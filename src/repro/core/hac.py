@@ -111,10 +111,9 @@ def cluster_users(
     prefs_by_user: Mapping[UserId, UserPrefs],
     *,
     measure: str = "vector_jaccard",
-    h_min: float = 0.0,
     initial_sims: Mapping[tuple[UserId, UserId], float] | None = None,
 ) -> Dendrogram:
-    """Run HAC down to branch cut ``h_min`` and return the dendrogram.
+    """Run HAC until one cluster is left and return the dendrogram.
 
     ``measure`` ∈ {"intersection", "jaccard", "weighted_intersection",
     "weighted_jaccard", "vector_jaccard", "weighted_vector_jaccard"}.
@@ -160,8 +159,6 @@ def cluster_users(
                 if best is None or s > best[0]:
                     best = (s, i, j)
         s, i, j = best
-        if s < h_min:
-            break
         left, right = id2cluster[i], id2cluster[j]
         merged = tuple(left) + tuple(right)
         merges.append(Merge(left, right, s))

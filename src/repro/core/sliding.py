@@ -30,6 +30,14 @@ dominated by a later arrival can never re-enter any frontier, so buffers
 shrink aggressively; BaselineSW keeps one buffer per user,
 FilterThenVerifySW a single buffer per cluster (Thm. 6).
 
+The window itself holds object ids only. Buffer rows are in arrival order
+and every older object has already expired, so ``o_out`` is either the
+first row of a buffer or absent from it. Absent from ``PB_U`` means absent
+from ``P_U`` and every ``P_c`` (``P_c ⊆ P_U ⊆ PB_U``, Thm. 6; per user,
+``P_c ⊆ PB_c``), and expiry skips that cluster or user. Otherwise its
+encoding ``x_out`` is read from the buffer row, and the buffer drops it
+only after the mend, whose buffer scan counts that row.
+
 Expiry handling in FilterThenVerifySW extends the paper's pseudocode with
 a per-member mend pass over ``P_U`` (members whose ``P_c`` contained
 ``o_out`` may owe promotions for objects that were dominated by ``o_out``
@@ -90,7 +98,7 @@ class _Engine:
         # All profiles share `domains`, so dictionary encodings coincide:
         # encode each object once and reuse the vector everywhere.
         self._encoder = next(iter(profiles.values()), None)
-        self._history: deque[tuple[ObjectId, ObjectValues]] = deque()
+        self._history: deque[ObjectId] = deque()
         self.t = 0
         self.counter = ComparisonCounter()
         self.disseminated: set[tuple[UserId, ObjectId]] = set()
@@ -101,8 +109,8 @@ class _Engine:
         self.t += 1
         if self.window is not None:
             if len(self._history) == self.window:
-                self._expire(*self._history.popleft())
-            self._history.append((oid, obj))
+                self._expire(self._history.popleft())
+            self._history.append(oid)
         targets = self._arrive(oid, self._encoder.encode(obj))
         self.disseminated.update((c, oid) for c in targets)
         return targets
@@ -150,10 +158,12 @@ class BaselineSWEngine(_Engine):
                 self.counter.add("buffer", self.buffers[c].refresh(oid, x))
         return targets
 
-    def _expire(self, out_id: ObjectId, out_obj: ObjectValues) -> None:
-        x_out = self._encoder.encode(out_obj)
+    def _expire(self, out_id: ObjectId) -> None:
         for c, fr in self.frontiers.items():
             buf = self.buffers[c]
+            if not buf.ids or buf.ids[0] != out_id:
+                continue  # o_out ∉ PB_c ⟹ o_out ∉ P_c
+            x_out = buf.matrix()[0]
             if fr.discard(out_id):
                 # Objects exclusively dominated by o_out may now be Pareto.
                 promoted = self._mend(fr, buf, x_out, "user")
@@ -230,12 +240,14 @@ class FTVSWEngine(_Engine):
                 self.counter.add("buffer", self.cluster_buffers[cid].refresh(oid, x))
         return targets
 
-    def _expire(self, out_id: ObjectId, out_obj: ObjectValues) -> None:
-        x_out = self._encoder.encode(out_obj)
+    def _expire(self, out_id: ObjectId) -> None:
         for cl in self.clusters:
             cid = cl.cluster_id
-            fr_u = self.cluster_frontiers[cid]
             buf = self.cluster_buffers[cid]
+            if not buf.ids or buf.ids[0] != out_id:
+                continue  # o_out ∉ PB_U ⟹ o_out ∉ P_U ⊇ P_c (Thm. 6)
+            x_out = buf.matrix()[0]
+            fr_u = self.cluster_frontiers[cid]
             if fr_u.discard(out_id):
                 # Cluster-level mend: buffer objects dominated only by
                 # o_out (w.r.t. ≻_U) may enter P_U.

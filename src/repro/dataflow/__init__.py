@@ -1,4 +1,4 @@
 """Distributed dataflow: Spark SQL derivations (oracle-checked against
 DuckDB with identical SQL text), batch Pareto frontiers, and the
 continuous dissemination pipeline over clustered user-preference
-partitions (applyInPandas / Structured Streaming + applyInPandasWithState)."""
+partitions (Structured Streaming + applyInPandasWithState)."""

@@ -29,6 +29,16 @@ from repro.posets.poset import Poset
 
 ATTRS = ("actor", "director", "genre", "writer")
 DEFAULT_DOMAIN_SIZES = {"actor": 14, "director": 10, "genre": 8, "writer": 10}
+USER_NOISE = 0.1  #: sd of a user's score noise around the group's
+RATING_NOISE = 0.2  #: sd of the noise added to each rating
+#: Self-selection in rating data: a user rates movie ``m`` with
+#: probability ∝ exp(SELECT_BIAS * utility(m)), so movies the user likes
+#: get rated more often. This aligns per-value counts with per-value
+#: average ratings, which densifies the derived partial orders and keeps
+#: Pareto frontiers selective ("most objects are non-Pareto-optimal",
+#: Sec. IV), as in the paper's real data.
+SELECT_BIAS = 2.0
+ZIPF_ALPHA = 0.9  #: popularity skew of every attribute, both datasets
 
 
 @dataclass
@@ -54,11 +64,11 @@ class PreferenceDataset:
         return pd.DataFrame(rows)
 
 
-def zipf_choice(g: np.random.Generator, values, size: int, alpha: float = 1.1) -> np.ndarray:
+def zipf_choice(g: np.random.Generator, values, size: int) -> np.ndarray:
     """Zipf-weighted draw over an explicit value list (used by the movie /
     publication generators: catalogs have popularity-skewed attributes)."""
     ranks = np.arange(1, len(values) + 1)
-    w = 1.0 / ranks**alpha
+    w = 1.0 / ranks**ZIPF_ALPHA
     w /= w.sum()
     return g.choice(np.asarray(values, dtype=object), size=size, p=w)
 
@@ -78,21 +88,9 @@ def generate(
     n_hist: int = 300,
     ratings_per_user: int = 240,
     n_stream: int = 300,
-    user_noise: float = 0.1,
-    rating_noise: float = 0.2,
-    select_bias: float = 2.0,
-    zipf_alpha: float = 0.9,
     seed: int = 7,
 ) -> PreferenceDataset:
-    """Build the synthetic movie dataset at the requested scale.
-
-    ``select_bias`` biases which movies a user rates toward movies she
-    likes (p ∝ exp(bias * utility)) — the usual self-selection in rating
-    data. It aligns per-value counts with per-value average ratings, which
-    densifies the derived partial orders and keeps Pareto frontiers
-    selective ("most objects are non-Pareto-optimal", Sec. IV), as in the
-    paper's real data.
-    """
+    """Build the synthetic movie dataset at the requested scale."""
     sizes = dict(DEFAULT_DOMAIN_SIZES if domain_sizes is None else domain_sizes)
     attrs = tuple(d for d in ATTRS if d in sizes)
     g = np.random.default_rng(seed)
@@ -102,7 +100,7 @@ def generate(
     gscores = _group_scores(g, n_groups, domains)
     uscores = {
         u: {
-            d: gscores[group_of[u]][d] + g.normal(0.0, user_noise, size=len(domains[d]))
+            d: gscores[group_of[u]][d] + g.normal(0.0, USER_NOISE, size=len(domains[d]))
             for d in attrs
         }
         for u in users
@@ -111,7 +109,7 @@ def generate(
     def sample_movies(n, prefix):
         cols = {"obj_id": [f"{prefix}{i}" for i in range(n)]}
         for d in attrs:
-            cols[d] = zipf_choice(g, domains[d], n, alpha=zipf_alpha)
+            cols[d] = zipf_choice(g, domains[d], n)
         return pd.DataFrame(cols)
 
     hist = sample_movies(n_hist, "h")
@@ -125,11 +123,11 @@ def generate(
         hist_util[u] = util / max(1, len(attrs))
     rating_rows = []
     for u in users:
-        w = np.exp(select_bias * hist_util[u])
+        w = np.exp(SELECT_BIAS * hist_util[u])
         w /= w.sum()
         picks = g.choice(n_hist, size=min(ratings_per_user, n_hist), replace=False, p=w)
         sub = hist.iloc[picks]
-        raw = 3.0 + hist_util[u][picks] * 1.8 + g.normal(0, rating_noise, len(sub))
+        raw = 3.0 + hist_util[u][picks] * 1.8 + g.normal(0, RATING_NOISE, len(sub))
         stars = np.clip(np.rint(raw), 0, 5).astype(int)
         rating_rows.append(
             pd.DataFrame(

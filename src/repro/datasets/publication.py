@@ -24,6 +24,12 @@ from repro.posets.poset import Poset
 
 ATTRS = ("affiliation", "author", "conference", "keyword")
 DEFAULT_DOMAIN_SIZES = {"affiliation": 12, "author": 14, "conference": 8, "keyword": 10}
+#: Values per attribute a user has history with. A user's partial order
+#: covers only those, as in the paper, where an author has counts only
+#: for the venues they interacted with.
+VALUES_PER_USER = 8
+BASE_RATE = 20.0  #: Poisson rate of the first count on a user's top value
+USER_NOISE = 0.08  #: sd of a user's log-affinity noise around the group's
 
 
 def generate(
@@ -32,18 +38,9 @@ def generate(
     n_groups: int = 4,
     domain_sizes: dict[str, int] | None = None,
     n_stream: int = 300,
-    values_per_user: int = 8,
-    base_rate: float = 20.0,
-    user_noise: float = 0.08,
-    zipf_alpha: float = 0.9,
     seed: int = 11,
 ) -> PreferenceDataset:
-    """Build the synthetic publication dataset at the requested scale.
-
-    ``values_per_user`` controls how many values per attribute a user has
-    history with (her partial order covers only those, as in the paper
-    where an author only has counts for venues she interacted with).
-    """
+    """Build the synthetic publication dataset at the requested scale."""
     sizes = dict(DEFAULT_DOMAIN_SIZES if domain_sizes is None else domain_sizes)
     attrs = tuple(d for d in ATTRS if d in sizes)
     g = np.random.default_rng(seed)
@@ -60,13 +57,13 @@ def generate(
     for u in users:
         for d in attrs:
             vals = domains[d]
-            aff = gaff[group_of[u]][d] * np.exp(g.normal(0, user_noise, len(vals)))
-            k = min(values_per_user, len(vals))
+            aff = gaff[group_of[u]][d] * np.exp(g.normal(0, USER_NOISE, len(vals)))
+            k = min(VALUES_PER_USER, len(vals))
             # A user has history with her community's favourite values
             # (plus noise in the ranking above).
             chosen = np.argsort(-aff)[:k]
             for vi in chosen:
-                lam = base_rate * aff[vi] / aff.max()
+                lam = BASE_RATE * aff[vi] / aff.max()
                 s1 = int(g.poisson(lam))  # collaborations / publications
                 s2 = int(g.poisson(2.0 * lam))  # citations
                 if s1 == 0 and s2 == 0:
@@ -78,7 +75,7 @@ def generate(
         prefs.setdefault(u, {d: Poset([], domain=domains[d]) for d in attrs})
 
     stream = []
-    cols = {d: zipf_choice(g, domains[d], n_stream, alpha=zipf_alpha) for d in attrs}
+    cols = {d: zipf_choice(g, domains[d], n_stream) for d in attrs}
     for i in range(n_stream):
         stream.append((f"p{i}", tuple(cols[d][i] for d in attrs)))
     return PreferenceDataset(

@@ -41,7 +41,7 @@ class RunResult:
 
 
 def build_dendrogram(ds: PreferenceDataset, measure: str = "vector_jaccard") -> Dendrogram:
-    return cluster_users(list(ds.attrs), ds.prefs, measure=measure, h_min=0.0)
+    return cluster_users(list(ds.attrs), ds.prefs, measure=measure)
 
 
 def clusters_for(
