@@ -80,3 +80,15 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="module")
+def few_state_partitions(spark):
+    """Run a module's streaming queries on 4 state partitions, so the 2-6
+    cluster groups share them. With the session's 64, every micro-batch
+    loads and commits 64 state stores, most of them empty, about 8 s per
+    query. Restores the session's setting afterwards."""
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "4")
+    yield
+    spark.conf.set("spark.sql.shuffle.partitions", old)

@@ -12,32 +12,15 @@ from repro.dataflow.streaming import (
     run_stream_to_completion,
     write_stream_files,
 )
-from repro.datasets import movie, publication
+from repro.datasets import movie
 from repro.experiments.harness import build_dendrogram, clusters_for, run_baseline
 
-
-@pytest.fixture(scope="module", autouse=True)
-def few_state_partitions(spark):
-    """Run the queries on 4 state partitions, so the 3-6 cluster groups
-    share them. With the session's 64, every micro-batch loads and
-    commits 64 state stores, most of them empty, about 8 s per query."""
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "4")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
+pytestmark = pytest.mark.usefixtures("few_state_partitions")
 
 
 @pytest.fixture(scope="module")
-def datasets():
-    return {
-        "movie": movie.generate(n_users=12, n_groups=3, n_stream=120),
-        "publication": publication.generate(n_users=12, n_groups=3, n_stream=120),
-    }
-
-
-@pytest.fixture(scope="module")
-def ds(datasets):
-    return datasets["movie"]
+def ds():
+    return movie.generate(n_users=10, n_groups=2, n_stream=80)
 
 
 @pytest.fixture(scope="module")
@@ -45,35 +28,37 @@ def clusters(ds):
     return clusters_for(ds, build_dendrogram(ds), 0.6, approximate=False)
 
 
-def _writer(spark, tmp_path, ds, clusters, window=None):
+def _writer(spark, run_dir, ds, clusters, window=None):
     return build_query(
         spark,
         clusters,
         ds.prefs,
         ds.attrs,
         ds.domains,
-        input_dir=str(tmp_path / "in"),
-        output_dir=str(tmp_path / "out"),
-        checkpoint_dir=str(tmp_path / "ckpt"),
+        input_dir=str(run_dir / "in"),
+        output_dir=str(run_dir / "out"),
+        checkpoint_dir=str(run_dir / "ckpt"),
         window=window,
     )
 
 
-def _stamped_pairs(spark, tmp_path):
+def _stamped_pairs(spark, run_dir):
     """``{(user, obj): ts}`` of the query's output; fails on a repeated pair."""
-    got = read_disseminations(spark, str(tmp_path / "out")).toPandas()
+    got = read_disseminations(spark, str(run_dir / "out")).toPandas()
     stamped = {(r.user_id, r.obj_id): r.ts for r in got.itertuples(index=False)}
     assert len(stamped) == len(got)
     return stamped
 
 
-def _run_once(spark, tmp_path, ds, clusters, window=None):
-    write_stream_files(ds.stream, str(tmp_path / "in"), files=1)
-    run_stream_to_completion(spark, _writer(spark, tmp_path, ds, clusters, window))
-    return _stamped_pairs(spark, tmp_path)
+def run_once(spark, run_dir, ds, clusters, window=None):
+    """Stream ``ds`` through one query as a single file under ``run_dir``;
+    returns its stamped pairs."""
+    write_stream_files(ds.stream, str(run_dir / "in"), files=1)
+    run_stream_to_completion(spark, _writer(spark, run_dir, ds, clusters, window))
+    return _stamped_pairs(spark, run_dir)
 
 
-def _driver_stamps(ds, clusters, window):
+def driver_stamps(ds, clusters, window):
     """Per-step driver replay: each pair with the arrival that emitted it,
     so a mend promotion carries the arrival whose expiry promoted it."""
     eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
@@ -84,39 +69,17 @@ def _driver_stamps(ds, clusters, window):
     return want
 
 
-@pytest.mark.parametrize(
-    "name, h, approximate",
-    [
-        ("movie", 0.7, False),
-        ("movie", 0.55, False),
-        ("publication", 0.6, False),
-        ("movie", 0.55, True),
-    ],
-    ids=["movie-h0.7", "movie-h0.55", "publication-h0.6", "movie-approx-h0.55"],
-)
-def test_single_run_matches_driver(spark, datasets, tmp_path, name, h, approximate):
-    ds = datasets[name]
-    clusters = clusters_for(ds, build_dendrogram(ds), h, approximate=approximate)
-    got = _run_once(spark, tmp_path, ds, clusters)
-    assert got == _driver_stamps(ds, clusters, None)
-    exact = run_baseline(ds).disseminated
-    if not approximate:
-        assert set(got) == exact
-        return
-    # Thm. 4 consequence: the approximate pipeline is near-precise; any
-    # lost pairs are false negatives. Allow the documented tiny
-    # false-positive band (objects promoted because their true dominator
-    # was filtered), but require it to be marginal.
-    fp = set(got) - exact
-    assert len(fp) <= max(2, int(0.01 * len(got)))
-    assert len(set(got) & exact) >= int(0.8 * len(exact))
+def test_single_run_matches_driver(spark, ds, clusters, tmp_path):
+    got = run_once(spark, tmp_path, ds, clusters)
+    assert set(got) == run_baseline(ds).disseminated
+    assert got == driver_stamps(ds, clusters, None)
 
 
-@pytest.mark.parametrize("window", [25, 60])
-def test_sliding_window_stream_matches_driver(spark, ds, clusters, tmp_path, window):
-    got = _run_once(spark, tmp_path, ds, clusters, window)
+def test_sliding_window_stream_matches_driver(spark, ds, clusters, tmp_path):
+    window = 25
+    got = run_once(spark, tmp_path, ds, clusters, window)
     assert set(got) == run_baseline(ds, window=window).disseminated
-    assert got == _driver_stamps(ds, clusters, window)
+    assert got == driver_stamps(ds, clusters, window)
 
 
 def test_state_survives_restart(spark, ds, clusters, tmp_path):
