@@ -87,7 +87,10 @@ def few_state_partitions(spark):
     """Run a module's streaming queries on 4 state partitions, so the 2-6
     cluster groups share them. With the session's 64, every micro-batch
     loads and commits 64 state stores, most of them empty, about 8 s per
-    query. Restores the session's setting afterwards."""
+    query. Restores the session's setting afterwards. This fixture can go
+    once ``streaming.build_query`` sizes its state partitions from the
+    cluster count itself, as the benchmark does with ``min(len(clusters),
+    cores)``."""
     old = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", "4")
     yield

@@ -1,62 +1,66 @@
-"""Distributed dissemination (applyInPandas over cluster partitions) must
-equal the driver engines pair-for-pair, append-only and windowed."""
+"""Distributed dissemination (the streaming query's per-cluster engines)
+must equal the driver engines pair for pair, append-only and windowed,
+each pair stamped with the arrival that emitted it."""
 import pytest
 
-from repro.core.sliding import FTVSWEngine
-from repro.dataflow.dissemination import disseminate
 from repro.datasets import movie, publication
 from repro.experiments.harness import build_dendrogram, clusters_for, run_baseline
+from tests.test_streaming import driver_stamps, run_once
+
+pytestmark = pytest.mark.usefixtures("few_state_partitions")
 
 
 @pytest.fixture(scope="module")
-def ds():
-    return movie.generate(n_users=12, n_groups=3, n_stream=120)
+def datasets():
+    return {
+        "movie": movie.generate(n_users=12, n_groups=3, n_stream=120),
+        "publication": publication.generate(n_users=12, n_groups=3, n_stream=120),
+    }
 
 
 @pytest.fixture(scope="module")
-def pub_ds():
-    return publication.generate(n_users=12, n_groups=3, n_stream=120)
+def replay(spark, datasets, tmp_path_factory):
+    """``replay(name, h, approximate, window)`` -> ``(ds, clusters,
+    {(user, obj): ts})``; one streaming query per distinct argument tuple,
+    shared by the tests that read it."""
+    runs = {}
+
+    def replay(name, h, approximate=False, window=None):
+        key = (name, h, approximate, window)
+        if key not in runs:
+            ds = datasets[name]
+            clusters = clusters_for(ds, build_dendrogram(ds), h, approximate=approximate)
+            got = run_once(spark, tmp_path_factory.mktemp("run"), ds, clusters, window)
+            runs[key] = ds, clusters, got
+        return runs[key]
+
+    return replay
 
 
 @pytest.mark.parametrize("h", [0.7, 0.55])
-def test_append_only_matches_driver(spark, ds, h):
-    dend = build_dendrogram(ds)
-    clusters = clusters_for(ds, dend, h, approximate=False)
-    got = disseminate(
-        spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream
-    ).toPandas()
-    got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == run_baseline(ds).disseminated
+def test_append_only_matches_driver(replay, h):
+    ds, clusters, got = replay("movie", h)
+    assert set(got) == run_baseline(ds).disseminated
+    assert got == driver_stamps(ds, clusters, None)
 
 
 @pytest.mark.parametrize("window", [30, 60])
-def test_sliding_window_matches_driver(spark, ds, window):
-    dend = build_dendrogram(ds)
-    clusters = clusters_for(ds, dend, 0.6, approximate=False)
-    got = disseminate(
-        spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream, window=window
-    ).toPandas()
-    got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == run_baseline(ds, window=window).disseminated
+def test_sliding_window_matches_driver(replay, window):
+    ds, clusters, got = replay("movie", 0.6, window=window)
+    assert set(got) == run_baseline(ds, window=window).disseminated
+    assert got == driver_stamps(ds, clusters, window)
 
 
-def test_publication_dataset_append_only(spark, pub_ds):
-    dend = build_dendrogram(pub_ds)
-    clusters = clusters_for(pub_ds, dend, 0.6, approximate=False)
-    got = disseminate(
-        spark, clusters, pub_ds.prefs, pub_ds.attrs, pub_ds.domains, pub_ds.stream
-    ).toPandas()
-    got_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
-    assert got_pairs == run_baseline(pub_ds).disseminated
+def test_publication_dataset_append_only(replay):
+    ds, clusters, got = replay("publication", 0.6)
+    assert set(got) == run_baseline(ds).disseminated
+    assert got == driver_stamps(ds, clusters, None)
 
 
-def test_approximate_clusters_lose_only_recall(spark, ds):
-    dend = build_dendrogram(ds)
-    clusters = clusters_for(ds, dend, 0.55, approximate=True)
-    got = disseminate(
-        spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream
-    ).toPandas()
-    approx_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
+def test_approximate_clusters_lose_only_recall(replay):
+    ds, clusters, got = replay("movie", 0.55, approximate=True)
+    assert got == driver_stamps(ds, clusters, None)
+    approx_pairs = set(got)
     exact = run_baseline(ds).disseminated
     # Thm. 4 consequence: the approximate pipeline is near-precise; any
     # lost pairs are false negatives. Allow the documented tiny
@@ -67,20 +71,15 @@ def test_approximate_clusters_lose_only_recall(spark, ds):
     assert len(approx_pairs & exact) >= int(0.8 * len(exact))
 
 
-def test_ts_column_records_arrival_order(spark, ds):
-    """Append-only and windowed: a pair carries the arrival step that
-    emitted it, so a mend promotion carries the arrival whose expiry
-    promoted it (the streaming query's stamp)."""
-    dend = build_dendrogram(ds)
-    clusters = clusters_for(ds, dend, 0.6, approximate=False)
-    for window in (None, 30):
-        got = disseminate(
-            spark, clusters, ds.prefs, ds.attrs, ds.domains, ds.stream, window=window
-        ).toPandas()
-        got_ts = {(r.user_id, r.obj_id): r.ts for r in got.itertuples(index=False)}
-        eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
-        want_ts = {}
-        for t, (oid, vals) in enumerate(ds.stream, start=1):
-            eng.insert(oid, vals)
-            want_ts.update(dict.fromkeys(eng.disseminated, t))
-        assert len(got) == len(got_ts) and got_ts == want_ts, window
+def test_ts_column_records_arrival_order(replay):
+    """Append-only, a pair is emitted at its object's own arrival.
+    Windowed, a mend promotion carries the later arrival whose expiry
+    promoted it, and this stream has such promotions."""
+    ds, clusters, got = replay("movie", 0.6)
+    assert got == driver_stamps(ds, clusters, None)
+    arrival = {oid: t for t, (oid, _) in enumerate(ds.stream, start=1)}
+    assert got and all(ts == arrival[obj] for (_, obj), ts in got.items())
+    ds, clusters, got = replay("movie", 0.6, window=30)
+    assert got == driver_stamps(ds, clusters, 30)
+    assert all(ts >= arrival[obj] for (_, obj), ts in got.items())
+    assert any(ts > arrival[obj] for (_, obj), ts in got.items())
