@@ -3,7 +3,7 @@
 1. Generate the synthetic movie dataset (ratings + catalog + stream).
 2. Derive every user's preference tuples with the Spark SQL pipeline
    (ratings ⋈ objects → stats → product-order pairs).
-3. Compute pairwise user similarities distributively and run HAC; cut the
+3. Run HAC over the users' Jaccard similarities on the driver; cut the
    dendrogram at --h to obtain the user clusters.
 4. Build approximate common preference relations per cluster (Alg. 3).
 5. Stream the object micro-batches through the Structured Streaming
@@ -34,7 +34,6 @@ def main(argv=None) -> int:
     spark = (
         SparkSession.builder.appName("repro-streaming-demo")
         .master("local[*]")
-        .config("spark.sql.shuffle.partitions", "16")
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
@@ -47,11 +46,7 @@ def main(argv=None) -> int:
 def run(spark, args) -> int:
     from repro.core.hac import cluster_users
     from repro.core.metrics import efficacy
-    from repro.dataflow.prefs_sql import (
-        derive_prefs_spark,
-        pairwise_jaccard_spark,
-        prefs_to_spark_df,
-    )
+    from repro.dataflow.prefs_sql import derive_prefs_spark
     from repro.dataflow.streaming import (
         build_query,
         read_disseminations,
@@ -71,8 +66,7 @@ def run(spark, args) -> int:
         ds.attrs,
     ).cache()
     print(f"[demo] derived {prefs_df.count()} preference tuples on Spark")
-    sims = pairwise_jaccard_spark(spark, prefs_to_spark_df(spark, ds.prefs), ds.attrs)
-    dend = cluster_users(ds.attrs, ds.prefs, measure="jaccard", initial_sims=sims)
+    dend = cluster_users(ds.attrs, ds.prefs, measure="jaccard")
     clusters = clusters_for(ds, dend, args.h, approximate=True)
     print(f"[demo] h={args.h}: {len(clusters)} clusters, sizes "
           f"{[len(c.members) for c in clusters]}")

@@ -70,16 +70,13 @@ def approx_cluster_relation(
     prefs_by_user: Mapping[UserId, Mapping[str, Poset]],
     attrs: Sequence[str],
     *,
-    threshold1: int | None = None,
     threshold2: float = 0.6,
 ) -> dict[str, Poset]:
-    """``≻_aU`` for every attribute — the virtual user ``U_a``."""
+    """``≻_aU`` for every attribute — the virtual user ``U_a``, with no
+    size cap (``threshold1`` unset)."""
     return {
         d: get_approx_preference_tuples(
-            members,
-            {c: prefs_by_user[c][d] for c in members},
-            threshold1=threshold1,
-            threshold2=threshold2,
+            members, {c: prefs_by_user[c][d] for c in members}, threshold2=threshold2
         )
         for d in attrs
     }

@@ -116,23 +116,15 @@ def dominates_by_closure(
 def brute_force_frontier(
     profile: Profile, objects: Mapping[Hashable, ObjectValues]
 ) -> set[Hashable]:
-    """O(n^2) Pareto frontier (Def. 3) — the test oracle for every engine."""
-    items = list(objects.items())
-    enc = {oid: profile.encode(v) for oid, v in items}
-    out: set[Hashable] = set()
-    for oid, _ in items:
-        x = enc[oid]
-        dominated = False
-        for oid2, _ in items:
-            if oid2 == oid:
-                continue
-            m = profile.compare(enc[oid2][None, :], x)
-            if m.dominated_by[0]:
-                dominated = True
-                break
-        if not dominated:
-            out.add(oid)
-    return out
+    """O(n^2) Pareto frontier (Def. 3) — the test oracle for every engine.
+
+    Each object is compared against the matrix of all objects in one call;
+    its own row is identical to it, so it never counts as dominating.
+    """
+    ids = list(objects)
+    mat = np.array([profile.encode(objects[o]) for o in ids], dtype=np.int32)
+    mat = mat.reshape(len(ids), profile.n_attrs)
+    return {o for o, x in zip(ids, mat) if not profile.compare(mat, x).dominated_by.any()}
 
 
 @dataclass

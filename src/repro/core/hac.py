@@ -111,15 +111,11 @@ def cluster_users(
     prefs_by_user: Mapping[UserId, UserPrefs],
     *,
     measure: str = "vector_jaccard",
-    initial_sims: Mapping[tuple[UserId, UserId], float] | None = None,
 ) -> Dendrogram:
     """Run HAC until one cluster is left and return the dendrogram.
 
     ``measure`` ∈ {"intersection", "jaccard", "weighted_intersection",
     "weighted_jaccard", "vector_jaccard", "weighted_vector_jaccard"}.
-    ``initial_sims`` optionally seeds the singleton-pair similarities (e.g.
-    computed distributively by Spark, see ``repro.dataflow.prefs_sql``);
-    pairs beyond singletons are always recomputed from representatives.
     Deterministic: ties broken by cluster member order.
     """
     users = tuple(sorted(prefs_by_user, key=repr))
@@ -137,15 +133,7 @@ def cluster_users(
     sims: dict[tuple[int, int], float] = {}
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
-            key = (i, j)
-            if initial_sims is not None:
-                a, b = clusters[i][0], clusters[j][0]
-                s = initial_sims.get((a, b), initial_sims.get((b, a)))
-                if s is None:
-                    s = rep.sim(reps[clusters[i]], reps[clusters[j]], measure)
-            else:
-                s = rep.sim(reps[clusters[i]], reps[clusters[j]], measure)
-            sims[key] = s
+            sims[(i, j)] = rep.sim(reps[clusters[i]], reps[clusters[j]], measure)
 
     alive = list(range(len(clusters)))
     id2cluster = {i: clusters[i] for i in alive}

@@ -24,6 +24,7 @@ in [0, 1] and the paper's branch cuts ``h ∈ (0, 1]`` apply directly.
 """
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.posets.poset import Pair, Poset
@@ -93,12 +94,16 @@ def tuple_frequencies(
 
 
 def vec_jaccard(v1: Mapping[Pair, float], v2: Mapping[Pair, float]) -> float:
-    """Eq. 6: multiset Jaccard of two non-negative frequency vectors."""
+    """Eq. 6: multiset Jaccard of two non-negative frequency vectors.
+
+    ``math.fsum`` rounds each sum correctly, so the result does not depend
+    on the set's iteration order (and with it on the string hash seed).
+    """
     keys = set(v1) | set(v2)
     if not keys:
         return 1.0
-    num = sum(min(v1.get(k, 0.0), v2.get(k, 0.0)) for k in keys)
-    den = sum(max(v1.get(k, 0.0), v2.get(k, 0.0)) for k in keys)
+    num = math.fsum(min(v1.get(k, 0.0), v2.get(k, 0.0)) for k in keys)
+    den = math.fsum(max(v1.get(k, 0.0), v2.get(k, 0.0)) for k in keys)
     if den == 0:
         return 1.0
     return num / den

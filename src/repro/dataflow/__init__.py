@@ -1,4 +1,4 @@
-"""Distributed dataflow: Spark SQL derivations (oracle-checked against
-DuckDB with identical SQL text), batch Pareto frontiers, and the
-continuous dissemination pipeline over clustered user-preference
-partitions (Structured Streaming + applyInPandasWithState)."""
+"""Distributed dataflow: Spark SQL preference derivation (oracle-checked
+against DuckDB with identical SQL text) and the continuous dissemination
+query over clustered user-preference partitions (Structured Streaming +
+applyInPandasWithState)."""

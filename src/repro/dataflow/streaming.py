@@ -76,9 +76,23 @@ def build_query(
     window: int | None = None,
     max_files_per_trigger: int | None = None,
 ):
-    """Assemble (but do not await) the streaming dissemination query."""
+    """Assemble (but do not await) the streaming dissemination query.
+
+    The state store keeps one partition per shuffle partition and loads and
+    commits every one of them on each micro-batch. So the query runs in a
+    child session with the caller's runtime conf and ``min(clusters,
+    cores)`` shuffle partitions; the caller's session is left as it was.
+    """
     payloads = _cluster_payload(clusters, prefs_by_user, attrs, domains, window)
     bc = spark.sparkContext.broadcast(payloads)
+    session = spark.newSession()
+    for key, value in spark.conf.getAll.items():
+        if spark.conf.isModifiable(key):
+            session.conf.set(key, value)
+    session.conf.set(
+        "spark.sql.shuffle.partitions",
+        str(min(len(payloads), spark.sparkContext.defaultParallelism)),
+    )
 
     def process(key, pdf_iter, state):
         cid = str(key[0])
@@ -98,7 +112,7 @@ def build_query(
         state.update((pickle.dumps(engine),))
         yield pd.DataFrame(rows, columns=["cluster_id", "user_id", "obj_id", "ts"])
 
-    reader = spark.readStream.schema(INPUT_SCHEMA)
+    reader = session.readStream.schema(INPUT_SCHEMA)
     if max_files_per_trigger:
         reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
     objects = reader.json(input_dir)

@@ -5,7 +5,7 @@ Both evaluation datasets derive each user's per-attribute strict partial
 order from two per-(user, attr, value) statistics ``(s1, s2)``:
 
 * movie: ``s1`` = average rating of the user's rated movies carrying the
-  value, ``s2`` = how many such movies she rated;
+  value, ``s2`` = how many such movies the user rated;
 * publication: for affiliation/author ``s1`` = collaborations, ``s2`` =
   citations; for conference/keyword ``s1`` = publications, ``s2`` =
   citations.
@@ -15,9 +15,11 @@ s2_a ≥ s2_b) ∨ (s1_a ≥ s1_b ∧ s2_a > s2_b)``, which is automatically
 irreflexive and transitive (dominance in the plane), hence a strict
 partial order — ties on both statistics are incomparable.
 
-This module is the pandas reference implementation; the distributed Spark
-SQL implementation lives in ``repro.dataflow.prefs_sql`` and is tested
-equal to this one (and to DuckDB running the same SQL).
+This module is the pandas reference implementation. The Spark SQL
+implementation in ``repro.dataflow.prefs_sql`` derives the same relations
+and is tested equal to this one (and to DuckDB running the same SQL).
+What the relations feed (cluster common relations, HAC similarities) is
+computed on the driver.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ def prefs_from_stats(stats: pd.DataFrame, domains: dict[str, list]) -> dict[str,
 
     Values a user has no statistics for are incomparable to everything
     (they stay in the domain but join no pair), matching the paper: a
-    user's partial order only covers values she has history with.
+    user's partial order only covers values the user has history with.
     """
     out: dict[str, dict[str, Poset]] = {}
     for (user, attr), grp in stats.groupby(["user_id", "attr"], sort=True):

@@ -40,8 +40,8 @@ class RunResult:
     disseminated: set[tuple[str, str]]
 
 
-def build_dendrogram(ds: PreferenceDataset, measure: str = "vector_jaccard") -> Dendrogram:
-    return cluster_users(list(ds.attrs), ds.prefs, measure=measure)
+def build_dendrogram(ds: PreferenceDataset) -> Dendrogram:
+    return cluster_users(list(ds.attrs), ds.prefs)
 
 
 def clusters_for(
@@ -50,7 +50,6 @@ def clusters_for(
     h: float,
     *,
     approximate: bool,
-    threshold1: int | None = None,
     threshold2: float = 0.6,
 ) -> list[Cluster]:
     partition = dendrogram.theta(h)
@@ -60,13 +59,7 @@ def clusters_for(
         Cluster(
             i,
             tuple(members),
-            approx_cluster_relation(
-                list(members),
-                ds.prefs,
-                list(ds.attrs),
-                threshold1=threshold1,
-                threshold2=threshold2,
-            ),
+            approx_cluster_relation(list(members), ds.prefs, list(ds.attrs), threshold2=threshold2),
         )
         for i, members in enumerate(partition)
     ]

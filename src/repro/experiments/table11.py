@@ -51,14 +51,15 @@ class Row:
     approx_comparisons: int
 
 
-def make_dataset(name: str, *, n_users: int, n_groups: int, n_stream: int, seed: int = 7):
+def make_dataset(name: str, *, n_users: int, n_groups: int, n_stream: int):
+    """The named dataset, drawn with generator seed 7."""
     if name == "movie":
         return movie.generate(
-            n_users=n_users, n_groups=n_groups, n_stream=n_stream, seed=seed
+            n_users=n_users, n_groups=n_groups, n_stream=n_stream, seed=7
         )
     if name == "publication":
         return publication.generate(
-            n_users=n_users, n_groups=n_groups, n_stream=n_stream, seed=seed
+            n_users=n_users, n_groups=n_groups, n_stream=n_stream, seed=7
         )
     raise ValueError(name)
 
@@ -70,10 +71,8 @@ def run(
     n_groups: int = 5,
     n_stream: int = 3000,
     h_values: tuple[float, ...] = H_VALUES,
-    threshold2: float = 0.6,
-    seed: int = 7,
 ) -> list[Row]:
-    ds = make_dataset(dataset, n_users=n_users, n_groups=n_groups, n_stream=n_stream, seed=seed)
+    ds = make_dataset(dataset, n_users=n_users, n_groups=n_groups, n_stream=n_stream)
     dend = build_dendrogram(ds)
     base = run_baseline(ds)
     rows = []
@@ -85,12 +84,7 @@ def run(
             raise AssertionError(
                 f"FilterThenVerifyExact diverged from Baseline at h={h} — bug"
             )
-        approx = run_ftv(
-            ds,
-            clusters_for(ds, dend, h, approximate=True, threshold2=threshold2),
-            approximate=True,
-            h=h,
-        )
+        approx = run_ftv(ds, clusters_for(ds, dend, h, approximate=True), approximate=True, h=h)
         rows.append(
             Row(
                 dataset,

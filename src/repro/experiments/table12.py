@@ -49,10 +49,8 @@ def run(
     n_stream: int = 4000,
     w_values: tuple[int, ...] = W_VALUES,
     h_values: tuple[float, ...] = H_VALUES,
-    threshold2: float = 0.6,
-    seed: int = 7,
 ) -> list[Row]:
-    ds = make_dataset(dataset, n_users=n_users, n_groups=n_groups, n_stream=n_stream, seed=seed)
+    ds = make_dataset(dataset, n_users=n_users, n_groups=n_groups, n_stream=n_stream)
     dend = build_dendrogram(ds)
     rows = []
     for w in w_values:
@@ -70,7 +68,7 @@ def run(
         for h in h_values:
             approx = run_ftv(
                 ds,
-                clusters_for(ds, dend, h, approximate=True, threshold2=threshold2),
+                clusters_for(ds, dend, h, approximate=True),
                 approximate=True,
                 h=h,
                 window=w,

@@ -48,16 +48,13 @@ def run(
     w_values: tuple[int, ...] = (400, 800, 1600, 3200),
     h: float = 0.55,
     sliding: bool = False,
-    seed: int = 7,
 ) -> list[Row]:
     n_max = max(n_values)
-    ds_full = make_dataset(
-        dataset, n_users=n_users, n_groups=n_groups, n_stream=n_max, seed=seed
-    )
+    ds_full = make_dataset(dataset, n_users=n_users, n_groups=n_groups, n_stream=n_max)
+    dend_full = build_dendrogram(ds_full)
     rows: list[Row] = []
 
-    def run_all(ds, n, d, window):
-        dend = build_dendrogram(ds)
+    def run_all(ds, dend, n, d, window):
         variant = "sliding" if window else "static"
         base = run_baseline(ds, n_objects=n, window=window)
         rows.append(Row(dataset, variant, n, d, window, base.algorithm, base.seconds, base.comparisons))
@@ -74,18 +71,15 @@ def run(
 
     if not sliding:
         for n in n_values:
-            run_all(ds_full, n, len(ds_full.attrs), None)
-        for d in d_values:
-            if d == len(ds_full.attrs):
-                continue  # covered by the n sweep at n_max
-            run_all(_restrict_attrs(ds_full, d), max(n_values) // 2, d, None)
+            run_all(ds_full, dend_full, n, len(ds_full.attrs), None)
     else:
         for w in w_values:
-            run_all(ds_full, n_max, len(ds_full.attrs), w)
-        for d in d_values:
-            if d == len(ds_full.attrs):
-                continue
-            run_all(_restrict_attrs(ds_full, d), n_max // 2, d, w_values[-1])
+            run_all(ds_full, dend_full, n_max, len(ds_full.attrs), w)
+    for d in d_values:
+        if d == len(ds_full.attrs):
+            continue  # covered by the n or W sweep
+        ds = _restrict_attrs(ds_full, d)
+        run_all(ds, build_dendrogram(ds), n_max // 2, d, w_values[-1] if sliding else None)
     return rows
 
 

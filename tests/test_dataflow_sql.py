@@ -1,26 +1,13 @@
-"""Spark SQL dataflow: preference derivation, common relations, pairwise
-similarity, batch Pareto frontier — each checked against the driver
-reference implementation *and* against DuckDB running the identical SQL
-text (via repro.oracle.assert_equivalent)."""
-import pandas as pd
+"""Spark SQL preference derivation (ratings ⋈ objects → stats →
+product-order pairs), checked against the driver reference relations
+*and* against DuckDB running the identical SQL text (via
+repro.oracle.assert_equivalent)."""
 import pytest
 
-from repro.core.common import cluster_common_relation
-from repro.core.dominance import Profile, brute_force_frontier
-from repro.core.hac import cluster_users
-from repro.core.similarity import mean_attr_similarity, sim_j
-from repro.datasets import laptop, movie
-from repro.dataflow.pareto_sql import pareto_frontier_spark, pareto_frontier_sql, profile_prefs_df
-from repro.dataflow.prefs_sql import (
-    common_prefs_spark,
-    derive_prefs_spark,
-    pairwise_jaccard_spark,
-    pref_pairs_sql,
-    prefs_to_spark_df,
-    stats_sql,
-)
+from repro.datasets import movie
+from repro.dataflow.prefs_sql import derive_prefs_spark, pref_pairs_sql, stats_sql
 from repro.oracle import assert_equivalent
-from repro.posets.poset import Poset, transitive_closure
+from repro.posets.poset import transitive_closure
 
 
 @pytest.fixture(scope="module")
@@ -70,105 +57,3 @@ class TestDerivationSQL:
         for (u, d), grp in got.groupby(["user_id", "attr"]):
             pairs = {(r.better, r.worse) for r in grp.itertuples(index=False)}
             assert transitive_closure(pairs) == pairs, (u, d)
-
-
-class TestCommonPrefsSQL:
-    def test_matches_driver_intersection(self, spark, ds):
-        prefs_df = prefs_to_spark_df(spark, ds.prefs)
-        half = len(ds.users) // 2
-        partition = [ds.users[:half], ds.users[half:]]
-        membership = spark.createDataFrame(
-            pd.DataFrame(
-                [(u, str(i)) for i, ms in enumerate(partition) for u in ms],
-                columns=["user_id", "cluster_id"],
-            )
-        )
-        got = common_prefs_spark(spark, prefs_df, membership).toPandas()
-        for i, members in enumerate(partition):
-            rel = cluster_common_relation(members, ds.prefs, ds.attrs)
-            got_i = got[got.cluster_id == str(i)]
-            got_pairs = {
-                (r.attr, r.better, r.worse) for r in got_i.itertuples(index=False)
-            }
-            expect = {(d, x, y) for d in ds.attrs for (x, y) in rel[d].pairs}
-            assert got_pairs == expect, i
-
-    def test_single_user_cluster_is_identity(self, spark, ds):
-        u = ds.users[0]
-        prefs_df = prefs_to_spark_df(spark, {u: ds.prefs[u]})
-        membership = spark.createDataFrame(
-            pd.DataFrame([(u, "0")], columns=["user_id", "cluster_id"])
-        )
-        got = common_prefs_spark(spark, prefs_df, membership).toPandas()
-        expect = sum(len(ds.prefs[u][d].pairs) for d in ds.attrs)
-        assert len(got) == expect
-
-
-class TestPairwiseSimilaritySQL:
-    def test_matches_driver_jaccard(self, spark, ds):
-        prefs_df = prefs_to_spark_df(spark, ds.prefs)
-        sims = pairwise_jaccard_spark(spark, prefs_df, ds.attrs)
-        users = sorted(ds.users)
-        for a, b in [(users[0], users[1]), (users[2], users[7]), (users[3], users[9])]:
-            expect = mean_attr_similarity(
-                sim_j(ds.prefs[a][d], ds.prefs[b][d]) for d in ds.attrs
-            )
-            assert sims[(a, b)] == pytest.approx(expect), (a, b)
-
-    def test_seeded_hac_equals_unseeded(self, spark, ds):
-        prefs_df = prefs_to_spark_df(spark, ds.prefs)
-        sims = pairwise_jaccard_spark(spark, prefs_df, ds.attrs)
-        seeded = cluster_users(ds.attrs, ds.prefs, measure="jaccard", initial_sims=sims)
-        plain = cluster_users(ds.attrs, ds.prefs, measure="jaccard")
-        assert seeded.merges == plain.merges
-
-
-class TestParetoFrontierSQL:
-    def _objects_df(self, spark, objects):
-        rows = [
-            {"obj_id": oid, **dict(zip(laptop.ATTRS, vals))}
-            for oid, vals in objects.items()
-        ]
-        return spark.createDataFrame(pd.DataFrame(rows))
-
-    def test_laptop_example2_c1(self, spark):
-        objs = {f"o{i}": laptop.PRODUCTS[f"o{i}"] for i in range(1, 16)}
-        got = pareto_frontier_spark(
-            spark, self._objects_df(spark, objs), laptop.C1_PREFS, laptop.ATTRS
-        )
-        assert {r.obj_id for r in got.collect()} == {"o2"}
-
-    def test_laptop_example2_c2(self, spark):
-        objs = {f"o{i}": laptop.PRODUCTS[f"o{i}"] for i in range(1, 16)}
-        got = pareto_frontier_spark(
-            spark, self._objects_df(spark, objs), laptop.C2_PREFS, laptop.ATTRS
-        )
-        assert {r.obj_id for r in got.collect()} == {"o2", "o3", "o15"}
-
-    def test_matches_duckdb_oracle(self, spark):
-        objs = {f"o{i}": laptop.PRODUCTS[f"o{i}"] for i in range(1, 17)}
-        objects_df = self._objects_df(spark, objs)
-        spark_res = pareto_frontier_spark(spark, objects_df, laptop.C2_PREFS, laptop.ATTRS)
-        assert_equivalent(
-            spark_res,
-            pareto_frontier_sql(laptop.ATTRS),
-            objects=objects_df.toPandas(),
-            prefs=profile_prefs_df(laptop.C2_PREFS),
-        )
-
-    def test_matches_engine_on_movie_stream(self, spark, ds):
-        objs = dict(ds.stream[:50])
-        rows = [{"obj_id": oid, **dict(zip(ds.attrs, v))} for oid, v in objs.items()]
-        objects_df = spark.createDataFrame(pd.DataFrame(rows))
-        u = ds.users[0]
-        got = pareto_frontier_spark(spark, objects_df, ds.prefs[u], ds.attrs)
-        expect = brute_force_frontier(Profile(ds.attrs, ds.prefs[u], ds.domains), objs)
-        assert {r.obj_id for r in got.collect()} == expect
-
-    def test_empty_prefs_all_objects_pareto_unless_identical(self, spark):
-        # With empty relations only identical objects compare — nothing
-        # dominates, so every object is Pareto-optimal.
-        objs = {f"o{i}": laptop.PRODUCTS[f"o{i}"] for i in range(1, 8)}
-        empty = {d: Poset([], domain=laptop.DOMAINS[d]) for d in laptop.ATTRS}
-        got = pareto_frontier_spark(spark, self._objects_df(spark, objs), empty, laptop.ATTRS)
-        assert {r.obj_id for r in got.collect()} == set(objs)

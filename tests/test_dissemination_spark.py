@@ -7,8 +7,6 @@ from repro.datasets import movie, publication
 from repro.experiments.harness import build_dendrogram, clusters_for, run_baseline
 from tests.test_streaming import driver_stamps, run_once
 
-pytestmark = pytest.mark.usefixtures("few_state_partitions")
-
 
 @pytest.fixture(scope="module")
 def datasets():

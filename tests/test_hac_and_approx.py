@@ -1,5 +1,10 @@
 """HAC dendrogram/branch cut (Def. 7, Example 10) and Algorithm 3
 (GetApproxPreferenceTuples, Example 11, Lemma 2, Theorems 3/4)."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,14 +77,26 @@ class TestHAC:
         with pytest.raises(ValueError):
             cluster_users(["brand"], _prefs_table_iv(), measure="cosine")
 
-    def test_initial_sims_seed_is_used(self):
-        prefs = _prefs_table_iv()
-        users = sorted(prefs)
-        # Degenerate seed: force c1-c6 to be the most similar pair.
-        seed = {(a, b): 0.0 for i, a in enumerate(users) for b in users[i + 1 :]}
-        seed[("c1", "c6")] = 1.0
-        d = cluster_users(["brand"], prefs, measure="jaccard", initial_sims=seed)
-        assert frozenset(d.merges[0].left + d.merges[0].right) == frozenset({"c1", "c6"})
+    def test_merge_sims_do_not_depend_on_hash_seed(self):
+        """Vector-Jaccard sums run over sets of string pairs, whose order
+        follows the hash seed; the merge similarities must not."""
+        script = (
+            "from repro.datasets import movie, publication\n"
+            "from repro.experiments.harness import build_dendrogram\n"
+            "for gen in (movie.generate, publication.generate):\n"
+            "    d = build_dendrogram(gen(n_users=12, n_groups=3, n_stream=1))\n"
+            "    print([m.sim for m in d.merges])\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
 
 
 class TestGetApproxPreferenceTuples:

@@ -278,3 +278,36 @@ def test_state_stays_bounded_on_long_stream():
         if t in (1000, 3000):
             size[t] = len(pickle.dumps(eng))
     assert size[3000] <= 1.2 * size[1000], size
+
+
+#: ``counter.by_stage`` after the 150-object movie stream (10 users, cut at
+#: h = 0.6 into two clusters of 5), W = None or 40. Read off the engines
+#: as they stand: a change that moves work between stages, or drops or
+#: adds comparisons inside one, shows here even when outputs stay equal.
+STAGE_COUNTS = {
+    ("baseline", None): {"user": 42487},
+    ("baseline", 40): {"buffer": 57094, "user": 37765},
+    ("exact", None): {"cluster": 12072, "user": 22750},
+    ("exact", 40): {"buffer": 13977, "cluster": 8818, "user": 49248},
+    ("approx", None): {"cluster": 10286, "user": 18706},
+    ("approx", 40): {"buffer": 12635, "cluster": 8144, "user": 40796},
+}
+
+
+@pytest.fixture(scope="module")
+def counted_movie():
+    ds = movie.generate(n_users=10, n_groups=2, n_stream=150)
+    return ds, build_dendrogram(ds)
+
+
+@pytest.mark.parametrize("kind, window", list(STAGE_COUNTS))
+def test_comparison_counts_by_stage(counted_movie, kind, window):
+    ds, dend = counted_movie
+    if kind == "baseline":
+        eng = BaselineSWEngine(ds.attrs, ds.prefs, ds.domains, window=window)
+    else:
+        clusters = clusters_for(ds, dend, 0.6, approximate=kind == "approx")
+        eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
+    for oid, vals in ds.stream:
+        eng.insert(oid, vals)
+    assert eng.counter.by_stage == STAGE_COUNTS[kind, window]

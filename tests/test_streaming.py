@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.core.common import make_exact_clusters
 from repro.core.sliding import FTVSWEngine
 from repro.dataflow.streaming import (
     build_query,
@@ -14,8 +15,6 @@ from repro.dataflow.streaming import (
 )
 from repro.datasets import movie
 from repro.experiments.harness import build_dendrogram, clusters_for, run_baseline
-
-pytestmark = pytest.mark.usefixtures("few_state_partitions")
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +94,16 @@ def test_state_survives_restart(spark, ds, clusters, tmp_path):
         os.replace(path, in_dir / os.path.basename(path))
         run_stream_to_completion(spark, _writer(spark, tmp_path, ds, clusters))
     assert set(_stamped_pairs(spark, tmp_path)) == run_baseline(ds).disseminated
+
+
+def test_state_partitions_follow_the_clusters(spark, ds, tmp_path):
+    """Three clusters keep three state partitions (fewer on fewer cores),
+    whatever the session's shuffle partitions, which stay as they were."""
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    users = sorted(ds.users)
+    three = make_exact_clusters([users[:3], users[3:6], users[6:]], ds.prefs, ds.attrs)
+    got = run_once(spark, tmp_path, ds, three)
+    assert got == driver_stamps(ds, three, None)
+    state = os.listdir(tmp_path / "ckpt" / "state" / "0")
+    assert len(set(state) - {"_metadata"}) == min(3, spark.sparkContext.defaultParallelism)
+    assert spark.conf.get("spark.sql.shuffle.partitions") == before
