@@ -3,15 +3,24 @@
 A :class:`Profile` fixes one preference holder — a real user or a
 cluster's virtual user — as (attrs, per-attr :class:`Poset`, per-attr
 domain). Objects are dictionary-encoded into small integer vectors once
-per profile; dominance against a whole frontier is then a handful of numpy
-gathers over per-attribute boolean ``geq`` matrices::
+per profile. Per attribute ``d`` with ``n_d`` values the profile keeps a
+2-bit code for every ordered pair of an object's value ``u`` and a
+frontier row's value ``v``::
 
-    geq[d][i, j]  ⟺  value_i == value_j  or  value_i ≻^d value_j
+    code_d[u, v] = geq_d[v, u] | geq_d[u, v] << 1
+    geq_d[i, j]  ⟺  value_i == value_j  or  value_i ≻^d value_j
 
-``F ≻ x`` over a frontier matrix ``F`` is ``all-attrs geq`` minus the
-identical rows; symmetric for ``x ≻ F``. Tests prove this kernel
-equivalent to both the raw transitive-closure check and the CPS-embedding
-comparison on random posets.
+All codes sit raveled in one flat ``uint8`` table (attribute ``d`` at
+offset ``base_d``, row stride ``n_d``), so comparing ``x`` against a whole
+frontier matrix ``F`` is one gather ``table[base + x * n + F]`` and one
+AND over the attributes. Bit 0 of the result says "row ≽ x on every
+attribute", bit 1 "x ≽ row on every attribute". A strict partial order is
+antisymmetric, so both bits together mean the row equals ``x``: code 1 is
+``row ≻ x``, 2 is ``x ≻ row`` and 3 is identical. The index is built
+attribute-major (``F.T``) so that the AND runs over whole rows of the
+gathered array rather than along its short last axis. Tests prove this
+kernel equivalent to both the raw transitive-closure check and the
+CPS-embedding comparison on random posets.
 """
 from __future__ import annotations
 
@@ -47,16 +56,30 @@ class Profile:
     ):
         self.attrs = tuple(attrs)
         self._index: list[dict[Value, int]] = []
-        self._geq: list[np.ndarray] = []
+        codes = []
         for d in self.attrs:
             dom = list(domains[d])
             idx = {v: i for i, v in enumerate(dom)}
-            n = len(dom)
-            geq = np.eye(n, dtype=bool)
+            geq = np.eye(len(dom), dtype=np.uint8)
             for (x, y) in prefs[d].pairs:
-                geq[idx[x], idx[y]] = True
+                geq[idx[x], idx[y]] = 1
             self._index.append(idx)
-            self._geq.append(geq)
+            codes.append((geq.T | geq << 1).ravel())
+        self._table = np.concatenate(codes)
+        self._offsets()
+
+    def _offsets(self) -> None:
+        """Per-attribute stride ``n_d`` and table offset ``base_d``, rebuilt
+        from ``_index`` rather than pickled."""
+        self._n = np.array([len(idx) for idx in self._index], dtype=np.intp)
+        self._base = np.cumsum(self._n**2) - self._n**2
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_n", "_base")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._offsets()
 
     @property
     def n_attrs(self) -> int:
@@ -68,25 +91,13 @@ class Profile:
 
     def compare(self, frontier: np.ndarray, x: np.ndarray) -> DominanceMasks:
         """Compare encoded object ``x`` against ``frontier`` (m x K int)."""
-        m = frontier.shape[0]
-        if m == 0:
-            empty = np.zeros(0, dtype=bool)
-            return DominanceMasks(empty, empty, empty, 0)
-        f_geq_x = np.ones(m, dtype=bool)  # frontier row >= x on all attrs
-        x_geq_f = np.ones(m, dtype=bool)  # x >= frontier row on all attrs
-        eq = np.ones(m, dtype=bool)
-        for k in range(self.n_attrs):
-            col = frontier[:, k]
-            xk = x[k]
-            geq = self._geq[k]
-            f_geq_x &= geq[col, xk]
-            x_geq_f &= geq[xk, col]
-            eq &= col == xk
+        idx = np.add(frontier.T, (self._base + x * self._n)[:, None], order="C")
+        code = np.bitwise_and.reduce(self._table[idx], axis=0)
         return DominanceMasks(
-            dominated_by=f_geq_x & ~eq,
-            dominates=x_geq_f & ~eq,
-            identical=eq,
-            n_compared=m,
+            dominated_by=code == 1,
+            dominates=code == 2,
+            identical=code == 3,
+            n_compared=frontier.shape[0],
         )
 
     def dominates(self, a: ObjectValues, b: ObjectValues) -> bool:

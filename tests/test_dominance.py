@@ -70,6 +70,37 @@ class TestKernelEquivalence:
                 assert profile.dominates(a, b) == cps_dominates(a, b), (a, b)
 
 
+@st.composite
+def profile_rows_and_object(draw):
+    """1-4 attributes with independently sized (and ordered) domains, a
+    frontier of 0-20 rows drawn from a small pool (so rows repeat), and an
+    object that may equal some of them."""
+    attrs = [f"d{k}" for k in range(draw(st.integers(1, 4)))]
+    prefs, domains = {}, {}
+    for d in attrs:
+        pairs, dom = draw(spo_strategy())
+        prefs[d] = Poset(pairs, domain=dom)
+        domains[d] = draw(st.permutations(dom))
+    value = st.tuples(*(st.sampled_from(domains[d]) for d in attrs))
+    pool = draw(st.lists(value, min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=20))
+    x = draw(st.one_of(st.sampled_from(pool), value))
+    return attrs, prefs, domains, rows, x
+
+
+@given(profile_rows_and_object())
+@settings(max_examples=150, deadline=None)
+def test_compare_masks_equal_closure_row_by_row(case):
+    attrs, prefs, domains, rows, x = case
+    profile = Profile(attrs, prefs, domains)
+    frontier = np.array([profile.encode(r) for r in rows], dtype=np.int32)
+    m = profile.compare(frontier.reshape(len(rows), len(attrs)), profile.encode(x))
+    assert m.n_compared == len(rows)
+    assert m.dominated_by.tolist() == [dominates_by_closure(attrs, prefs, r, x) for r in rows]
+    assert m.dominates.tolist() == [dominates_by_closure(attrs, prefs, x, r) for r in rows]
+    assert m.identical.tolist() == [r == x for r in rows]
+
+
 class TestProfileBasics:
     def _simple(self):
         p = Poset([("hi", "lo")])

@@ -1,4 +1,6 @@
 """Job entrypoints parse args and emit their tables (smoke scale)."""
+import json
+
 import pytest
 
 
@@ -38,6 +40,33 @@ def test_run_timing_main(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "Baseline" in out
+
+
+def test_bench_trajectory_rows(tmp_path, monkeypatch):
+    mod = _load("bench_trajectory")
+    speeds = iter([1.0, 4.0, 2.0, 3.0])
+
+    def fake_run(checkout, workload, seed, seconds):
+        v = next(speeds, None)  # None: the run gave no result
+        return v and {"correct": True, "metrics": {"objects_per_s": {"value": v, "unit": "1/s"}}}
+
+    monkeypatch.setattr(mod, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+
+    def rows(label):
+        args = ["--label", label, "--workloads", "append-exact", "--seeds", "1-3", "--out", str(out)]
+        rc = mod.main(args)
+        return rc, {r["label"]: r["workloads"]["append-exact"] for r in json.loads(out.read_text())}
+
+    rc, got = rows("a")
+    assert rc == 0 and got["a"]["correct"]
+    assert got["a"]["metrics"]["objects_per_s"] == {"median": 2.0, "q1": 1.0, "q3": 4.0, "unit": "1/s"}
+    rc, got = rows("b")
+    assert rc == 1 and not got["b"]["correct"]
+    assert got["b"]["metrics"]["objects_per_s"]["median"] == 3.0
+    rc, got = rows("a")  # same label: replaced, moved last
+    assert rc == 1 and list(got) == ["b", "a"]
+    assert got["a"] == {"runs": 3, "correct": False, "metrics": {}}
 
 
 @pytest.mark.usefixtures("spark")
