@@ -1,16 +1,17 @@
 """Add one row to the benchmark trajectory file, ``BENCH_steadybench.json``.
 
-Usage: python jobs/bench_trajectory.py --label LABEL [--checkout DIR]
-       [--seeds 1-3] [--workloads W ...] [--out FILE]
+Usage: python jobs/bench_trajectory.py --label LABEL [--checkout DIR] [--out FILE]
 
 Runs ``steadybench/run.py --trace 0`` of checkout DIR (default: this
-repository) once per workload and seed, one run at a time. It then writes
-one row to FILE (default: ``BENCH_steadybench.json`` here): the label,
+repository) once for each workload of its ``BENCHMARK.json`` and each of
+seeds 1-3, one run at a time, so that every row covers the same runs. It
+then writes one row to FILE (default: ``BENCH_steadybench.json`` here): the label,
 the checkout's commit (``-dirty`` if it has uncommitted edits), the host,
 and per workload whether every run was correct, plus each end-to-end
-metric's median and quartiles over the seeds. A row with the same label is replaced; other rows are kept. A run
-that exits non-zero, or whose last line is not a JSON result, counts as
-not correct and adds no values.
+metric's median and quartiles over the seeds. A row with the same label
+is replaced; other rows are kept. A run that exits non-zero, runs past
+the timeout, or whose last line is not a JSON result, counts as not
+correct and adds no values.
 """
 import argparse
 import json
@@ -21,12 +22,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("append-exact", "window-approx", "stream-window")
-
-
-def seeds_arg(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = (1, 2, 3)
+TIMEOUT_S = 900
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict | None:
@@ -34,7 +31,12 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict | No
     cmd = [sys.executable, os.path.join(checkout, "steadybench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        print(f"{workload} seed {seed}: no result after {TIMEOUT_S} s", file=sys.stderr)
+        return None
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -78,22 +80,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--label", required=True)
     ap.add_argument("--checkout", default=ROOT)
-    ap.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-3"))
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_steadybench.json"))
     args = ap.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-        seconds = json.load(f)["run_seconds"]
+        bench = json.load(f)
 
     workloads = {}
-    for workload in args.workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = []
-        for seed in args.seeds:
-            runs.append(run_once(checkout, workload, seed, seconds))
+        for seed in SEEDS:
+            runs.append(run_once(checkout, workload, seed, bench["run_seconds"]))
             print(f"{workload} seed {seed}: {'ok' if runs[-1] else 'failed'}", flush=True)
         workloads[workload] = summarise(runs)
-    row = {"label": args.label, "commit": commit_of(checkout), "seeds": args.seeds,
+    row = {"label": args.label, "commit": commit_of(checkout), "seeds": list(SEEDS),
            "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                    f"{platform.python_version()}",
            "workloads": workloads}

@@ -44,7 +44,8 @@ def test_run_timing_main(capsys):
 
 def test_bench_trajectory_rows(tmp_path, monkeypatch):
     mod = _load("bench_trajectory")
-    speeds = iter([1.0, 4.0, 2.0, 3.0])
+    # 3 workloads x 3 seeds per row; row "b" loses its last run, the second "a" all.
+    speeds = iter([1.0, 4.0, 2.0] * 3 + [3.0] * 8)
 
     def fake_run(checkout, workload, seed, seconds):
         v = next(speeds, None)  # None: the run gave no result
@@ -54,19 +55,31 @@ def test_bench_trajectory_rows(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
 
     def rows(label):
-        args = ["--label", label, "--workloads", "append-exact", "--seeds", "1-3", "--out", str(out)]
-        rc = mod.main(args)
-        return rc, {r["label"]: r["workloads"]["append-exact"] for r in json.loads(out.read_text())}
+        rc = mod.main(["--label", label, "--out", str(out)])
+        return rc, {r["label"]: r["workloads"] for r in json.loads(out.read_text())}
 
     rc, got = rows("a")
-    assert rc == 0 and got["a"]["correct"]
-    assert got["a"]["metrics"]["objects_per_s"] == {"median": 2.0, "q1": 1.0, "q3": 4.0, "unit": "1/s"}
+    assert rc == 0 and list(got["a"]) == ["append-exact", "window-approx", "stream-window"]
+    for w in got["a"].values():
+        assert w["correct"]
+        assert w["metrics"]["objects_per_s"] == {"median": 2.0, "q1": 1.0, "q3": 4.0, "unit": "1/s"}
     rc, got = rows("b")
-    assert rc == 1 and not got["b"]["correct"]
-    assert got["b"]["metrics"]["objects_per_s"]["median"] == 3.0
+    assert rc == 1 and got["b"]["append-exact"]["correct"]
+    assert not got["b"]["stream-window"]["correct"]
+    assert got["b"]["stream-window"]["metrics"]["objects_per_s"]["median"] == 3.0
     rc, got = rows("a")  # same label: replaced, moved last
     assert rc == 1 and list(got) == ["b", "a"]
-    assert got["a"] == {"runs": 3, "correct": False, "metrics": {}}
+    assert got["a"]["append-exact"] == {"runs": 3, "correct": False, "metrics": {}}
+
+
+def test_bench_trajectory_timeout_is_a_failed_run(monkeypatch):
+    mod = _load("bench_trajectory")
+
+    def hang(cmd, **kw):
+        raise mod.subprocess.TimeoutExpired(cmd, kw["timeout"])
+
+    monkeypatch.setattr(mod.subprocess, "run", hang)
+    assert mod.run_once(".", "append-exact", 1, 15) is None
 
 
 @pytest.mark.usefixtures("spark")
