@@ -18,9 +18,12 @@ attribute", bit 1 "x ≽ row on every attribute". A strict partial order is
 antisymmetric, so both bits together mean the row equals ``x``: code 1 is
 ``row ≻ x``, 2 is ``x ≻ row`` and 3 is identical. The index is built
 attribute-major (``F.T``) so that the AND runs over whole rows of the
-gathered array rather than along its short last axis. Tests prove this
-kernel equivalent to both the raw transitive-closure check and the
-CPS-embedding comparison on random posets.
+gathered array rather than along its short last axis. :meth:`Profile.compare`
+returns that code array; each mask is one compare against a ``uint8``
+constant, made only when a caller reads it. ``x`` may also be a ``(c, K)``
+matrix of objects, which gives ``(c, m)`` codes from the same gather. Tests
+prove this kernel equivalent to both the raw transitive-closure check and
+the CPS-embedding comparison on random posets.
 """
 from __future__ import annotations
 
@@ -35,14 +38,25 @@ Value = Hashable
 ObjectValues = tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class DominanceMasks:
-    """Outcome of comparing one object against a frontier matrix."""
+_ROW_WINS, _X_WINS, _EQUAL = np.uint8(1), np.uint8(2), np.uint8(3)
 
-    dominated_by: np.ndarray  #: rows of F that strictly dominate x
-    dominates: np.ndarray  #: rows of F strictly dominated by x
-    identical: np.ndarray  #: rows of F equal to x on every attribute
-    n_compared: int  #: frontier members compared (the paper's work metric)
+
+class DominanceMasks:
+    """Outcome of comparing an object (or each of ``c`` objects) against a
+    frontier matrix ``F``; masks are derived from ``code`` when read."""
+
+    __slots__ = ("code", "n_compared")
+
+    def __init__(self, code: np.ndarray, n_compared: int):
+        self.code = code  #: AND-reduced 2-bit codes, shape ``(m,)`` or ``(c, m)``
+        self.n_compared = n_compared  #: object pairs compared (the paper's work metric)
+
+    dominated_by = property(lambda self: self.code == _ROW_WINS,
+                            doc="rows of F that strictly dominate x")
+    dominates = property(lambda self: self.code == _X_WINS,
+                         doc="rows of F strictly dominated by x")
+    identical = property(lambda self: self.code == _EQUAL,
+                         doc="rows of F equal to x on every attribute")
 
 
 class Profile:
@@ -90,15 +104,11 @@ class Profile:
         return np.array([self._index[k][v] for k, v in enumerate(obj)], dtype=np.int32)
 
     def compare(self, frontier: np.ndarray, x: np.ndarray) -> DominanceMasks:
-        """Compare encoded object ``x`` against ``frontier`` (m x K int)."""
-        idx = np.add(frontier.T, (self._base + x * self._n)[:, None], order="C")
-        code = np.bitwise_and.reduce(self._table[idx], axis=0)
-        return DominanceMasks(
-            dominated_by=code == 1,
-            dominates=code == 2,
-            identical=code == 3,
-            n_compared=frontier.shape[0],
-        )
+        """Compare encoded object ``x`` (``K``), or each row of ``x``
+        (``c x K``), against ``frontier`` (``m x K`` int)."""
+        idx = np.add(frontier.T, (self._base + x * self._n)[..., None], order="C")
+        code = np.bitwise_and.reduce(self._table[idx], axis=-2)
+        return DominanceMasks(code, code.size)
 
     def dominates(self, a: ObjectValues, b: ObjectValues) -> bool:
         """Scalar ``a ≻ b`` (Def. 2) — convenience for tests and oracles."""

@@ -10,9 +10,10 @@ is dominated. Identical objects are both Pareto-optimal (Defs. 2-3).
 A frontier stores its members once: ``ids`` plus one ``int32`` matrix whose
 row ``i`` is the encoding of ``ids[i]``. Every update binds a new matrix
 and never writes into the old one, so an array taken from :meth:`matrix`
-(or a row of it) stays valid while the frontier changes. The copies on
-append and discard are kept on purpose: appending into spare rows made
-the append-only benchmark about 6% faster but doubled the pickled engine
+(or a row of it) stays valid while the frontier changes: an append or a
+discard is one ``np.concatenate`` into a new array, an eviction one boolean
+index. The copies are kept on purpose: appending into spare rows made the
+append-only benchmark about 6% faster but doubled the pickled engine
 state, since the spare rows are pickled too.
 """
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Frontier:
     def insert(self, oid: ObjectId, x: np.ndarray) -> InsertResult:
         """Compare-and-update per Alg. 1; returns eviction list and work."""
         masks = self.profile.compare(self.matrix(), x)
-        if masks.dominated_by.any():
+        if np.count_nonzero(masks.dominated_by):
             return InsertResult(False, [], masks.n_compared)
         removed = self._evict(masks.dominates)
         self.add_unchecked(oid, x)
@@ -60,7 +61,7 @@ class Frontier:
 
     def _evict(self, mask: np.ndarray) -> list[ObjectId]:
         """Drop the rows ``mask`` marks; the rest keep their order."""
-        if not mask.any():
+        if not np.count_nonzero(mask):
             return []
         keep = ~mask
         flags = keep.tolist()
@@ -72,11 +73,11 @@ class Frontier:
     def dominated_by_frontier(self, x: np.ndarray) -> tuple[bool, int]:
         """Read-only check used by the mend paths of the SW engines."""
         masks = self.profile.compare(self.matrix(), x)
-        return bool(masks.dominated_by.any()), masks.n_compared
+        return bool(np.count_nonzero(masks.dominated_by)), masks.n_compared
 
     def add_unchecked(self, oid: ObjectId, x: np.ndarray) -> None:
         self.ids.append(oid)
-        self._matrix = np.vstack((self._matrix, x))
+        self._matrix = np.concatenate((self._matrix, x[None]))
 
     def discard(self, oid: ObjectId) -> bool:
         """Remove ``oid`` if present (no comparisons — id lookup only)."""
@@ -85,5 +86,5 @@ class Frontier:
         except ValueError:
             return False
         del self.ids[i]
-        self._matrix = np.delete(self._matrix, i, axis=0)
+        self._matrix = np.concatenate((self._matrix[:i], self._matrix[i + 1:]))
         return True

@@ -257,7 +257,8 @@ class FTVSWEngine(_Engine):
                 # o_out under their own preferences. A candidate must be
                 # verified against *all* of P_U under ≻_c (Lemma 1), not
                 # just the current P_c — its c-dominator may itself be a
-                # not-yet-promoted candidate.
+                # not-yet-promoted candidate. P_U is fixed here, so the
+                # candidates are independent and are checked in one call.
                 pu_ids = list(fr_u.ids)
                 pu_matrix = fr_u.matrix()
                 for c in cl.members:
@@ -268,16 +269,16 @@ class FTVSWEngine(_Engine):
                     out_dom = p.compare(pu_matrix, x_out)
                     self.counter.add("user", out_dom.n_compared)
                     in_pc = set(fr_c.ids)
-                    for i in np.flatnonzero(out_dom.dominates):
-                        pu_id = pu_ids[i]
-                        if pu_id in in_pc:
-                            continue
-                        x_c = pu_matrix[i]
-                        mm = p.compare(pu_matrix, x_c)
-                        self.counter.add("user", mm.n_compared)
-                        if not mm.dominated_by.any():
-                            fr_c.add_unchecked(pu_id, x_c)
-                            self.disseminated.add((c, pu_id))
+                    cands = [i for i in np.flatnonzero(out_dom.dominates)
+                             if pu_ids[i] not in in_pc]
+                    if not cands:
+                        continue
+                    mm = p.compare(pu_matrix, pu_matrix[cands])
+                    self.counter.add("user", mm.n_compared)
+                    for i, beaten in zip(cands, np.count_nonzero(mm.dominated_by, axis=1)):
+                        if not beaten:
+                            fr_c.add_unchecked(pu_ids[i], pu_matrix[i])
+                            self.disseminated.add((c, pu_ids[i]))
             # else: o_out ∉ P_U ⟹ o_out ∉ any member frontier (P_c ⊆ P_U).
             buf.discard(out_id)
 

@@ -101,6 +101,27 @@ def test_compare_masks_equal_closure_row_by_row(case):
     assert m.identical.tolist() == [r == x for r in rows]
 
 
+@given(profile_rows_and_object(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_compare_2d_equals_1d_row_by_row(case, data):
+    """A ``(c, K)`` object matrix gives ``(c, m)`` codes whose row ``i``
+    equals the 1-D compare of object ``i``, for all three masks."""
+    attrs, prefs, domains, rows, x = case
+    value = st.tuples(*(st.sampled_from(domains[d]) for d in attrs))
+    objs = data.draw(st.lists(st.one_of(st.sampled_from(rows + [x]), value), max_size=8))
+    profile = Profile(attrs, prefs, domains)
+    frontier = np.array([profile.encode(r) for r in rows], dtype=np.int32)
+    frontier = frontier.reshape(len(rows), len(attrs))
+    X = np.array([profile.encode(o) for o in objs], dtype=np.int32).reshape(len(objs), len(attrs))
+    m = profile.compare(frontier, X)
+    assert m.code.shape == (len(objs), len(rows))
+    assert m.n_compared == len(objs) * len(rows)
+    for i in range(len(objs)):
+        one = profile.compare(frontier, X[i])
+        for mask in ("dominated_by", "dominates", "identical"):
+            assert getattr(m, mask)[i].tolist() == getattr(one, mask).tolist(), (i, mask)
+
+
 class TestProfileBasics:
     def _simple(self):
         p = Poset([("hi", "lo")])

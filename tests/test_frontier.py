@@ -70,6 +70,18 @@ class TestMaintenance:
     def test_discard_absent(self, profile, frontier):
         assert frontier.discard("nope") is False
 
+    @staticmethod
+    def _step(profile, objs, fr, update, *args):
+        """Run one update; the matrix taken before it must be unchanged and
+        the new one an ``int32`` (len(ids), K) matrix whose rows encode ids."""
+        before = fr.matrix()
+        kept = before.copy()
+        update(*args)
+        assert np.array_equal(before, kept)
+        m = fr.matrix()
+        assert m.dtype == np.int32 and m.shape == (len(fr.ids), profile.n_attrs)
+        assert m.tolist() == [enc(profile, objs[o]).tolist() for o in fr.ids]
+
     def test_matrix_rows_follow_ids(self, profile, frontier):
         """Row i of ``matrix()`` encodes ``ids[i]`` through evictions, a
         middle discard and buffer refreshes; arrays handed out before an
@@ -78,11 +90,7 @@ class TestMaintenance:
                 "o4": ("c", "a"), "o5": ("b", "b")}
 
         def step(fr, update, *args):
-            before = fr.matrix()
-            kept = before.copy()
-            update(*args)
-            assert np.array_equal(before, kept)
-            assert fr.matrix().tolist() == [enc(profile, objs[o]).tolist() for o in fr.ids]
+            self._step(profile, objs, fr, update, *args)
 
         buffer = _Buffer(profile)
         for oid, v in objs.items():
@@ -99,6 +107,29 @@ class TestMaintenance:
         assert [(o, x.tolist()) for o, x in handed_out] == [
             (o, enc(profile, objs[o]).tolist()) for o in ("o3", "o4", "o5")
         ]
+
+    def test_discard_first_last_and_only_row_then_append(self, profile, frontier):
+        objs = {"o1": ("a", "c"), "o2": ("b", "b"), "o3": ("c", "a"),  # incomparable
+                "o4": ("c", "c"), "o5": ("a", "a")}
+
+        def step(update, *args):
+            self._step(profile, objs, frontier, update, *args)
+
+        for oid in ("o1", "o2", "o3"):
+            step(frontier.insert, oid, enc(profile, objs[oid]))
+        assert frontier.ids == ["o1", "o2", "o3"]
+        step(frontier.discard, "o1")  # first row
+        assert frontier.ids == ["o2", "o3"]
+        step(frontier.discard, "o3")  # last row
+        assert frontier.ids == ["o2"]
+        step(frontier.discard, "o2")  # only row
+        assert frontier.ids == []
+        step(frontier.add_unchecked, "o4", enc(profile, objs["o4"]))
+        step(frontier.insert, "o5", enc(profile, objs["o5"]))  # evicts o4
+        assert frontier.ids == ["o5"]
+        step(frontier.discard, "o5")
+        step(frontier.insert, "o4", enc(profile, objs["o4"]))
+        assert frontier.ids == ["o4"]
 
     def test_dominated_by_frontier_readonly(self, profile, frontier):
         frontier.insert("o1", enc(profile, ("a", "a")))
