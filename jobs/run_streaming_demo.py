@@ -2,7 +2,10 @@
 
 1. Generate the synthetic movie dataset (ratings + catalog + stream).
 2. Derive every user's preference tuples with the Spark SQL pipeline
-   (ratings ⋈ objects → stats → product-order pairs).
+   (ratings ⋈ objects → stats → product-order pairs) and report their
+   count. The tuples are not fed on: HAC and the query below use the
+   generator's pandas-derived ``ds.prefs``, which the Spark derivation
+   equals (``tests/test_dataflow_sql.py``).
 3. Run HAC over the users' Jaccard similarities on the driver; cut the
    dendrogram at --h to obtain the user clusters.
 4. Build approximate common preference relations per cluster (Alg. 3).

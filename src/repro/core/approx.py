@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, Sequence
 
+from repro.core.similarity import tuple_frequencies
 from repro.posets.poset import Pair, Poset, is_strict_partial_order, transitive_closure
 
 UserId = Hashable
@@ -38,14 +39,10 @@ def get_approx_preference_tuples(
     (pairs earlier in the sequence are tried first — used to pin
     Example 11's exact trace in tests).
     """
-    n = len(members)
-    if n == 0:
+    if not members:
         raise ValueError("empty cluster")
     domain = frozenset().union(*(posets_by_user[c].domain for c in members))
-    freq: dict[Pair, float] = {}
-    for c in members:
-        for pair in posets_by_user[c].pairs:
-            freq[pair] = freq.get(pair, 0.0) + 1.0 / n
+    freq = tuple_frequencies(members, posets_by_user)
     hint = {p: i for i, p in enumerate(tie_order)} if tie_order is not None else {}
     ordered = sorted(
         freq.items(), key=lambda kv: (-kv[1], hint.get(kv[0], len(hint)), repr(kv[0]))

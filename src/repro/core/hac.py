@@ -7,6 +7,11 @@ the Sec. VI-C measures) is recomputed and its similarity to every other
 cluster re-evaluated — i.e. the inter-cluster similarity is measured
 between cluster representatives, not via linkage formulas.
 
+Cluster ids are integers: the users in ``repr`` order, then each merged
+cluster in creation order. Ties go to the pair that comes first in
+row-major order of the live ids (ascending), which is what
+``max(combinations(alive, 2))`` returns.
+
 The full merge sequence is recorded as a :class:`Dendrogram` (Def. 7);
 ``theta(h)`` returns the partition just before the first merge whose
 similarity fell below the branch cut ``h``. ``theta(1)`` is all-singletons
@@ -15,8 +20,10 @@ unless some users have identical preferences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Hashable, Mapping, Sequence
 
+from repro.core.common import cluster_common_relation
 from repro.core.similarity import (
     mean_attr_similarity,
     sim_i,
@@ -26,7 +33,7 @@ from repro.core.similarity import (
     tuple_frequencies,
     vec_jaccard,
 )
-from repro.posets.poset import Poset, common_relation
+from repro.posets.poset import Poset
 
 UserId = Hashable
 UserPrefs = Mapping[str, Poset]
@@ -66,46 +73,6 @@ class Dendrogram:
         return sorted(clusters)
 
 
-class _ExactRep:
-    """Cluster representative for Sec. V measures: common relations."""
-
-    def __init__(self, attrs: Sequence[str], prefs_by_user: Mapping[UserId, UserPrefs]):
-        self.attrs = tuple(attrs)
-        self.user_prefs = prefs_by_user
-
-    def make(self, members: tuple[UserId, ...]) -> dict[str, Poset]:
-        return {d: common_relation(self.user_prefs[c][d] for c in members) for d in self.attrs}
-
-    def sim(self, r1: dict[str, Poset], r2: dict[str, Poset], measure: str) -> float:
-        f = EXACT_MEASURES[measure]
-        return mean_attr_similarity(f(r1[d], r2[d]) for d in self.attrs)
-
-
-class _VectorRep:
-    """Cluster representative for Sec. VI-C measures: frequency vectors."""
-
-    def __init__(
-        self,
-        attrs: Sequence[str],
-        prefs_by_user: Mapping[UserId, UserPrefs],
-        weighted: bool,
-    ):
-        self.attrs = tuple(attrs)
-        self.user_prefs = prefs_by_user
-        self.weighted = weighted
-
-    def make(self, members: tuple[UserId, ...]) -> dict[str, dict]:
-        return {
-            d: tuple_frequencies(
-                members, {c: self.user_prefs[c][d] for c in members}, weighted=self.weighted
-            )
-            for d in self.attrs
-        }
-
-    def sim(self, r1, r2, measure: str) -> float:
-        return mean_attr_similarity(vec_jaccard(r1[d], r2[d]) for d in self.attrs)
-
-
 def cluster_users(
     attrs: Sequence[str],
     prefs_by_user: Mapping[UserId, UserPrefs],
@@ -116,47 +83,47 @@ def cluster_users(
 
     ``measure`` ∈ {"intersection", "jaccard", "weighted_intersection",
     "weighted_jaccard", "vector_jaccard", "weighted_vector_jaccard"}.
-    Deterministic: ties broken by cluster member order.
     """
-    users = tuple(sorted(prefs_by_user, key=repr))
+    attrs = tuple(attrs)
     if measure in EXACT_MEASURES:
-        rep: _ExactRep | _VectorRep = _ExactRep(attrs, prefs_by_user)
-    elif measure == "vector_jaccard":
-        rep = _VectorRep(attrs, prefs_by_user, weighted=False)
-    elif measure == "weighted_vector_jaccard":
-        rep = _VectorRep(attrs, prefs_by_user, weighted=True)
+        attr_sim = EXACT_MEASURES[measure]
+
+        def rep(members):
+            return cluster_common_relation(members, prefs_by_user, attrs)
+
+    elif measure in ("vector_jaccard", "weighted_vector_jaccard"):
+        attr_sim = vec_jaccard
+        weighted = measure == "weighted_vector_jaccard"
+
+        def rep(members):
+            return {
+                d: tuple_frequencies(
+                    members, {c: prefs_by_user[c][d] for c in members}, weighted=weighted
+                )
+                for d in attrs
+            }
+
     else:
         raise ValueError(f"unknown measure {measure!r}")
 
+    users = tuple(sorted(prefs_by_user, key=repr))
     clusters: list[tuple[UserId, ...]] = [(u,) for u in users]
-    reps = {c: rep.make(c) for c in clusters}
-    sims: dict[tuple[int, int], float] = {}
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            sims[(i, j)] = rep.sim(reps[clusters[i]], reps[clusters[j]], measure)
+    reps = [rep(c) for c in clusters]
 
+    def sim(i: int, j: int) -> float:
+        return mean_attr_similarity(attr_sim(reps[i][d], reps[j][d]) for d in attrs)
+
+    sims = {(i, j): sim(i, j) for i, j in combinations(range(len(clusters)), 2)}
     alive = list(range(len(clusters)))
-    id2cluster = {i: clusters[i] for i in alive}
     merges: list[Merge] = []
-    next_id = len(clusters)
     while len(alive) > 1:
-        best = None
-        for ii, i in enumerate(alive):
-            for j in alive[ii + 1 :]:
-                s = sims[(min(i, j), max(i, j))]
-                if best is None or s > best[0]:
-                    best = (s, i, j)
-        s, i, j = best
-        left, right = id2cluster[i], id2cluster[j]
-        merged = tuple(left) + tuple(right)
-        merges.append(Merge(left, right, s))
-        alive = [k for k in alive if k not in (i, j)]
-        mid = next_id
-        next_id += 1
-        id2cluster[mid] = merged
-        reps[merged] = rep.make(merged)
-        for k in alive:
-            other = id2cluster[k]
-            sims[(min(mid, k), max(mid, k))] = rep.sim(reps[merged], reps[other], measure)
-        alive.append(mid)
+        i, j = max(combinations(alive, 2), key=sims.__getitem__)
+        merges.append(Merge(clusters[i], clusters[j], sims[i, j]))
+        alive.remove(i)
+        alive.remove(j)
+        new = len(clusters)
+        clusters.append(clusters[i] + clusters[j])
+        reps.append(rep(clusters[new]))
+        sims.update(((k, new), sim(new, k)) for k in alive)
+        alive.append(new)
     return Dendrogram(users=users, merges=tuple(merges))

@@ -47,8 +47,9 @@ def sim_j(p1: Poset, p2: Poset) -> float:
 
 def sim_wi(p1: Poset, p2: Poset) -> float:
     """Eq. 4: for each common tuple, the mean of the better value's
-    weights in the two relations."""
-    return sum(
+    weights in the two relations. Summed with ``math.fsum``, as in
+    :func:`vec_jaccard`, so the result does not depend on the hash seed."""
+    return math.fsum(
         (p1.weight(v) + p2.weight(v)) / 2.0 for (v, _) in p1.pairs & p2.pairs
     )
 
@@ -60,8 +61,8 @@ def sim_wj(p1: Poset, p2: Poset) -> float:
     relation's own weight of the better value, plus the shared mass.
     """
     inter = sim_wi(p1, p2)
-    only1 = sum(p1.weight(v) for (v, _) in p1.pairs - p2.pairs)
-    only2 = sum(p2.weight(v) for (v, _) in p2.pairs - p1.pairs)
+    only1 = math.fsum(p1.weight(v) for (v, _) in p1.pairs - p2.pairs)
+    only2 = math.fsum(p2.weight(v) for (v, _) in p2.pairs - p1.pairs)
     denom = only1 + only2 + inter
     if denom == 0:
         return 1.0

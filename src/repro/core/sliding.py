@@ -93,11 +93,11 @@ class _Buffer(Frontier):
 class _Engine:
     """Arrival order, expiry and emission shared by both engines."""
 
-    def __init__(self, profiles: Mapping[Hashable, Profile], window: int | None):
+    def __init__(self, frontiers: Mapping[Hashable, Frontier], window: int | None):
         self.window = window
         # All profiles share `domains`, so dictionary encodings coincide:
         # encode each object once and reuse the vector everywhere.
-        self._encoder = next(iter(profiles.values()), None)
+        self._encoder = next((fr.profile for fr in frontiers.values()), None)
         self._history: deque[ObjectId] = deque()
         self.t = 0
         self.counter = ComparisonCounter()
@@ -142,10 +142,14 @@ class BaselineSWEngine(_Engine):
         domains: Mapping[str, Sequence],
         window: int | None = None,
     ):
-        self.profiles = {c: Profile(attrs, p, domains) for c, p in prefs_by_user.items()}
-        self.frontiers = {c: Frontier(p) for c, p in self.profiles.items()}
-        self.buffers = {} if window is None else {c: _Buffer(p) for c, p in self.profiles.items()}
-        super().__init__(self.profiles, window)
+        self.frontiers = {
+            c: Frontier(Profile(attrs, p, domains)) for c, p in prefs_by_user.items()
+        }
+        self.buffers = (
+            {} if window is None
+            else {c: _Buffer(fr.profile) for c, fr in self.frontiers.items()}
+        )
+        super().__init__(self.frontiers, window)
 
     def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()
@@ -199,24 +203,21 @@ class FTVSWEngine(_Engine):
                 if c in seen:
                     raise ValueError(f"user {c!r} appears in more than one cluster")
                 seen.add(c)
-        self.cluster_profiles = {
-            cl.cluster_id: Profile(attrs, cl.relation, domains) for cl in self.clusters
-        }
         self.cluster_frontiers = {
-            cid: Frontier(p) for cid, p in self.cluster_profiles.items()
+            cl.cluster_id: Frontier(Profile(attrs, cl.relation, domains))
+            for cl in self.clusters
         }
         self.cluster_buffers = (
             {} if window is None
-            else {cid: _Buffer(p) for cid, p in self.cluster_profiles.items()}
+            else {cid: _Buffer(fr.profile) for cid, fr in self.cluster_frontiers.items()}
         )
-        self.user_profiles = {
-            c: Profile(attrs, prefs_by_user[c], domains)
+        # Cluster- and user-level frontiers hold the very same int vectors.
+        self.user_frontiers = {
+            c: Frontier(Profile(attrs, prefs_by_user[c], domains))
             for cl in self.clusters
             for c in cl.members
         }
-        # Cluster- and user-level frontiers hold the very same int vectors.
-        self.user_frontiers = {c: Frontier(p) for c, p in self.user_profiles.items()}
-        super().__init__(self.cluster_profiles, window)
+        super().__init__(self.cluster_frontiers, window)
 
     def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()
@@ -265,7 +266,7 @@ class FTVSWEngine(_Engine):
                     fr_c = self.user_frontiers[c]
                     if not fr_c.discard(out_id):
                         continue
-                    p = self.user_profiles[c]
+                    p = fr_c.profile
                     out_dom = p.compare(pu_matrix, x_out)
                     self.counter.add("user", out_dom.n_compared)
                     in_pc = set(fr_c.ids)

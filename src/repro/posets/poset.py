@@ -12,7 +12,11 @@ The class also provides the derived notions the paper needs:
   shortest-path distance on the *Hasse diagram* (transitive reduction) —
   this is the distance notion under which the paper's Example 8 numbers
   (weights 1, 1/2, 1/3) come out exactly,
-* Hasse diagram edges, intersection (common preference relation, Def. 5).
+* Hasse diagram edges.
+
+:func:`common_relation` intersects any number of relations (the common
+preference relation, Def. 5); by Theorem 1 the result is again a strict
+partial order.
 """
 from __future__ import annotations
 
@@ -83,9 +87,6 @@ class Poset:
         """True iff ``x ≻ y`` (x strictly preferred to y)."""
         return (x, y) in self.pairs
 
-    def comparable(self, x: Value, y: Value) -> bool:
-        return (x, y) in self.pairs or (y, x) in self.pairs
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -136,15 +137,6 @@ class Poset:
         if d is None:
             raise KeyError(f"{v!r} not in poset domain")
         return 1.0 / (d + 1)
-
-    # -- algebra ---------------------------------------------------------
-    def intersection(self, other: "Poset") -> "Poset":
-        """Common preference relation of two profiles (Def. 5 for |U|=2).
-
-        The intersection of two strict partial orders is a strict partial
-        order (Theorem 1), so no re-validation can fail.
-        """
-        return Poset(self.pairs & other.pairs, domain=self.domain | other.domain)
 
 
 def common_relation(posets: Iterable[Poset]) -> Poset:

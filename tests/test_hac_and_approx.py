@@ -12,13 +12,112 @@ from repro.core.approx import approx_cluster_relation, get_approx_preference_tup
 from repro.core.common import cluster_common_relation
 from repro.core.dominance import Profile, brute_force_frontier
 from repro.core.hac import cluster_users
+from repro.core.similarity import tuple_frequencies
+from repro.datasets import movie, publication
 from repro.datasets.laptop import TABLE_IV_BRAND
+from repro.experiments.harness import build_dendrogram
 from repro.posets.poset import Poset, common_relation, is_strict_partial_order
 
 
 def _prefs_table_iv():
     # one-attribute preference profiles for the six Table IV users
     return {c: {"brand": p} for c, p in TABLE_IV_BRAND.items()}
+
+
+MEASURES = (
+    "intersection",
+    "jaccard",
+    "weighted_intersection",
+    "weighted_jaccard",
+    "vector_jaccard",
+    "weighted_vector_jaccard",
+)
+
+# Full merge sequences of `build_dendrogram` at 12 users: left members,
+# right members, `sim.hex()`.
+PINNED_DENDROGRAMS = {
+    "movie": [
+        ("u008", "u011", "0x1.7fc962fc962fcp-1"),
+        ("u001", "u004", "0x1.7e02bf1175814p-1"),
+        ("u000", "u006", "0x1.7ddc865a52c68p-1"),
+        ("u003", "u009", "0x1.70b669b7730b6p-1"),
+        ("u000 u006", "u003 u009", "0x1.759daaeef4008p-1"),
+        ("u007", "u001 u004", "0x1.668c3bea6268cp-1"),
+        ("u010", "u007 u001 u004", "0x1.61195766eacbcp-1"),
+        ("u005", "u008 u011", "0x1.5ba3e83b48982p-1"),
+        ("u002", "u005 u008 u011", "0x1.48c99ca202dadp-1"),
+        ("u000 u006 u003 u009", "u010 u007 u001 u004", "0x1.ae78f52af6d4ep-2"),
+        ("u002 u005 u008 u011", "u000 u006 u003 u009 u010 u007 u001 u004", "0x1.06055c5ec9791p-2"),
+    ],
+    "publication": [
+        ("a003", "a009", "0x1.8526ca7ac7740p-1"),
+        ("a000", "a003 a009", "0x1.6cdfa1d6cdfa2p-1"),
+        ("a006", "a000 a003 a009", "0x1.647a4bb44c45fp-1"),
+        ("a002", "a011", "0x1.641abd8ad06afp-1"),
+        ("a004", "a007", "0x1.5baa6550ffbaap-1"),
+        ("a010", "a004 a007", "0x1.4322eaec52b02p-1"),
+        ("a005", "a002 a011", "0x1.423c1641219abp-1"),
+        ("a008", "a005 a002 a011", "0x1.327c9d2ec4b11p-1"),
+        ("a001", "a010 a004 a007", "0x1.295c47dab25aap-1"),
+        ("a006 a000 a003 a009", "a001 a010 a004 a007", "0x1.f3359e71ef6acp-3"),
+        ("a008 a005 a002 a011", "a006 a000 a003 a009 a001 a010 a004 a007", "0x1.83d0bd1abf8afp-3"),
+    ],
+}
+
+# Merge members ("left | right") on the tie-heavy input of
+# `_prefs_ties`, where up to eight merges share one similarity.
+_TIES_INTERSECTION = [
+    "c4 | c4b",
+    "c2 | c2b",
+    "c3 | c3b",
+    "c5 | c5b",
+    "c6 | c6b",
+    "c4 c4b | c3 c3b",
+    "c1 | c1b",
+    "c2 c2b | c1 c1b",
+    "c5 c5b | c6 c6b",
+    "c4 c4b c3 c3b | c5 c5b c6 c6b",
+    "e0 | e1",
+    "e2 | c2 c2b c1 c1b",
+    "c4 c4b c3 c3b c5 c5b c6 c6b | e0 e1",
+    "e2 c2 c2b c1 c1b | c4 c4b c3 c3b c5 c5b c6 c6b e0 e1",
+]
+_TIES_JACCARD = [
+    "c1 | c1b",
+    "c2 | c2b",
+    "c3 | c3b",
+    "c4 | c4b",
+    "c5 | c5b",
+    "c6 | c6b",
+    "e0 | e1",
+    "e2 | e0 e1",
+    "c3 c3b | c4 c4b",
+    "c1 c1b | c2 c2b",
+    "c5 c5b | c6 c6b",
+    "c1 c1b c2 c2b | c5 c5b c6 c6b",
+]
+PINNED_TIE_MERGES = {
+    "intersection": _TIES_INTERSECTION,
+    "weighted_intersection": ["c2 | c2b", "c4 | c4b"] + _TIES_INTERSECTION[2:],
+    "jaccard": _TIES_JACCARD + [
+        "e2 e0 e1 | c3 c3b c4 c4b",
+        "c1 c1b c2 c2b c5 c5b c6 c6b | e2 e0 e1 c3 c3b c4 c4b",
+    ],
+    "vector_jaccard": _TIES_JACCARD + [
+        "c3 c3b c4 c4b | c1 c1b c2 c2b c5 c5b c6 c6b",
+        "e2 e0 e1 | c3 c3b c4 c4b c1 c1b c2 c2b c5 c5b c6 c6b",
+    ],
+}
+PINNED_TIE_MERGES["weighted_jaccard"] = PINNED_TIE_MERGES["jaccard"]
+PINNED_TIE_MERGES["weighted_vector_jaccard"] = PINNED_TIE_MERGES["vector_jaccard"]
+
+
+def _prefs_ties():
+    """Table IV with every user duplicated, plus three empty relations."""
+    prefs = _prefs_table_iv()
+    prefs.update({c + "b": p for c, p in _prefs_table_iv().items()})
+    prefs.update({f"e{i}": {"brand": Poset()} for i in range(3)})
+    return prefs
 
 
 class TestHAC:
@@ -62,14 +161,7 @@ class TestHAC:
             assert sorted(flat) == sorted(TABLE_IV_BRAND)
 
     def test_all_measures_run(self):
-        for m in (
-            "intersection",
-            "jaccard",
-            "weighted_intersection",
-            "weighted_jaccard",
-            "vector_jaccard",
-            "weighted_vector_jaccard",
-        ):
+        for m in MEASURES:
             d = cluster_users(["brand"], _prefs_table_iv(), measure=m)
             assert len(d.merges) == 5
 
@@ -77,15 +169,29 @@ class TestHAC:
         with pytest.raises(ValueError):
             cluster_users(["brand"], _prefs_table_iv(), measure="cosine")
 
+    @pytest.mark.parametrize("gen", [movie, publication], ids=["movie", "publication"])
+    def test_dendrogram_merges_are_pinned(self, gen):
+        d = build_dendrogram(gen.generate(n_users=12, n_groups=3, n_stream=1))
+        got = [(" ".join(m.left), " ".join(m.right), m.sim.hex()) for m in d.merges]
+        assert got == PINNED_DENDROGRAMS[gen.__name__.rsplit(".", 1)[1]]
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_tie_break_is_pinned(self, measure):
+        d = cluster_users(["brand"], _prefs_ties(), measure=measure)
+        got = [f"{' '.join(m.left)} | {' '.join(m.right)}" for m in d.merges]
+        assert got == PINNED_TIE_MERGES[measure]
+
     def test_merge_sims_do_not_depend_on_hash_seed(self):
-        """Vector-Jaccard sums run over sets of string pairs, whose order
+        """Every measure sums over sets of string pairs, whose order
         follows the hash seed; the merge similarities must not."""
         script = (
+            "from repro.core.hac import cluster_users\n"
             "from repro.datasets import movie, publication\n"
-            "from repro.experiments.harness import build_dendrogram\n"
-            "for gen in (movie.generate, publication.generate):\n"
-            "    d = build_dendrogram(gen(n_users=12, n_groups=3, n_stream=1))\n"
-            "    print([m.sim for m in d.merges])\n"
+            f"for m in {MEASURES!r}:\n"
+            "    for gen in (movie.generate, publication.generate):\n"
+            "        ds = gen(n_users=12, n_groups=3, n_stream=1)\n"
+            "        d = cluster_users(ds.attrs, ds.prefs, measure=m)\n"
+            "        print(m, [s.sim.hex() for s in d.merges])\n"
         )
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         outs = [
@@ -115,11 +221,8 @@ class TestGetApproxPreferenceTuples:
         return {"u1": u1, "u2": u2, "u3": u3}
 
     def test_table5_frequencies(self, fig3_users):
-        n = 3
-        freq = {}
-        for p in fig3_users.values():
-            for pair in p.pairs:
-                freq[pair] = freq.get(pair, 0) + 1 / n
+        # Alg. 3 ranks tuples by this vector.
+        freq = tuple_frequencies(list(fig3_users), fig3_users)
         A, L, S, T = "Apple", "Lenovo", "Samsung", "Toshiba"
         assert freq[(A, T)] == pytest.approx(1.0)
         for pair in [(A, S), (L, T), (T, S), (S, L)]:

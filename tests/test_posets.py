@@ -161,8 +161,3 @@ class TestCommonRelation:
     def test_empty_user_set_rejected(self):
         with pytest.raises(ValueError):
             common_relation([])
-
-    def test_intersection_method_matches(self):
-        p1 = Poset([("a", "b"), ("b", "c")])
-        p2 = Poset([("a", "b")])
-        assert p1.intersection(p2).pairs == common_relation([p1, p2]).pairs
