@@ -56,13 +56,6 @@ class PreferenceDataset:
     ratings: pd.DataFrame | None = None  #: movie only: user_id, obj_id, rating
     hist_objects: pd.DataFrame | None = None  #: movie only: obj_id + attrs
 
-    def stream_objects_df(self) -> pd.DataFrame:
-        rows = [
-            {"obj_id": oid, "ts": t, **dict(zip(self.attrs, vals))}
-            for t, (oid, vals) in enumerate(self.stream, start=1)
-        ]
-        return pd.DataFrame(rows)
-
 
 def zipf_choice(g: np.random.Generator, values, size: int) -> np.ndarray:
     """Zipf-weighted draw over an explicit value list (used by the movie /

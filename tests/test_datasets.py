@@ -87,12 +87,6 @@ def test_movie_ratings_are_stars(movie_ds):
     assert movie_ds.ratings["rating"].between(0, 5).all()
 
 
-def test_movie_stream_objects_df(movie_ds):
-    df = movie_ds.stream_objects_df()
-    assert list(df.columns) == ["obj_id", "ts"] + list(movie_ds.attrs)
-    assert df["ts"].tolist() == list(range(1, len(movie_ds.stream) + 1))
-
-
 def test_publication_stats_counts_nonnegative(pub_ds):
     assert (pub_ds.stats["s1"] >= 0).all()
     assert (pub_ds.stats["s2"] >= 0).all()

@@ -4,19 +4,31 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.approx import approx_cluster_relation, get_approx_preference_tuples
 from repro.core.common import cluster_common_relation
 from repro.core.dominance import Profile, brute_force_frontier
 from repro.core.hac import cluster_users
-from repro.core.similarity import tuple_frequencies
+from repro.core.similarity import (
+    mean_attr_similarity,
+    sim_i,
+    sim_j,
+    sim_wi,
+    sim_wj,
+    tuple_frequencies,
+    vec_jaccard,
+)
 from repro.datasets import movie, publication
 from repro.datasets.laptop import TABLE_IV_BRAND
 from repro.experiments.harness import build_dendrogram
 from repro.posets.poset import Poset, common_relation, is_strict_partial_order
+from tests.test_posets import spo_strategy
 
 
 def _prefs_table_iv():
@@ -120,6 +132,55 @@ def _prefs_ties():
     return prefs
 
 
+def _pair_scan_merges(attrs, prefs, measure):
+    """Reference HAC: score every pair with the scalar measures and rescan
+    every live pair per merge; ``(left, right, sim.hex())`` per merge."""
+    scalar = {"intersection": sim_i, "jaccard": sim_j, "weighted_intersection": sim_wi,
+              "weighted_jaccard": sim_wj}.get(measure, vec_jaccard)
+
+    def rep(members):
+        if measure in ("vector_jaccard", "weighted_vector_jaccard"):
+            weighted = measure == "weighted_vector_jaccard"
+            return {d: tuple_frequencies(members, {c: prefs[c][d] for c in members},
+                                         weighted=weighted) for d in attrs}
+        return cluster_common_relation(members, prefs, attrs)
+
+    clusters = [(u,) for u in sorted(prefs, key=repr)]
+    reps = [rep(c) for c in clusters]
+
+    def sim(i, j):
+        return mean_attr_similarity(scalar(reps[i][d], reps[j][d]) for d in attrs)
+
+    sims = {(i, j): sim(i, j) for i, j in combinations(range(len(clusters)), 2)}
+    alive, merges = list(range(len(clusters))), []
+    while len(alive) > 1:
+        i, j = max(combinations(alive, 2), key=sims.__getitem__)
+        merges.append((clusters[i], clusters[j], sims[i, j].hex()))
+        alive.remove(i)
+        alive.remove(j)
+        clusters.append(clusters[i] + clusters[j])
+        reps.append(rep(clusters[-1]))
+        sims.update(((k, len(clusters) - 1), sim(len(clusters) - 1, k)) for k in alive)
+        alive.append(len(clusters) - 1)
+    return merges
+
+
+@st.composite
+def _tied_users(draw):
+    """2-10 users over one or two attributes, drawn from at most five
+    profiles, so that duplicated users and empty relations make ties."""
+    attrs = ["d0", "d1"][: draw(st.integers(1, 2))]
+    profiles = []
+    for _ in range(draw(st.integers(1, 5))):
+        profile = {}
+        for d in attrs:
+            pairs, dom = draw(spo_strategy(n_values=7, p_edge=0.6))
+            profile[d] = Poset(pairs if draw(st.integers(0, 3)) else (), domain=dom)
+        profiles.append(profile)
+    picks = draw(st.lists(st.integers(0, len(profiles) - 1), min_size=2, max_size=10))
+    return attrs, {f"c{k}": profiles[p] for k, p in enumerate(picks)}
+
+
 class TestHAC:
     def test_theta_1_is_singletons(self):
         d = cluster_users(["brand"], _prefs_table_iv(), measure="jaccard")
@@ -180,6 +241,26 @@ class TestHAC:
         d = cluster_users(["brand"], _prefs_ties(), measure=measure)
         got = [f"{' '.join(m.left)} | {' '.join(m.right)}" for m in d.merges]
         assert got == PINNED_TIE_MERGES[measure]
+
+    @given(_tied_users())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_merges_equal_the_pair_scan(self, users):
+        attrs, prefs = users
+        for m in MEASURES:
+            d = cluster_users(attrs, prefs, measure=m)
+            got = [(g.left, g.right, g.sim.hex()) for g in d.merges]
+            assert got == _pair_scan_merges(attrs, prefs, m), m
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("gen", [movie, publication], ids=["movie", "publication"])
+    def test_dense_merges_equal_the_pair_scan_at_24_users(self, gen, measure):
+        # Clusters of many members meet here; on movie, adding two parts'
+        # weight sums instead of member by member changes the last bit of a
+        # weighted-vector sim, which the small drawn inputs do not reach.
+        ds = gen.generate(n_users=24, n_groups=3, n_stream=1)
+        d = cluster_users(ds.attrs, ds.prefs, measure=measure)
+        got = [(g.left, g.right, g.sim.hex()) for g in d.merges]
+        assert got == _pair_scan_merges(ds.attrs, ds.prefs, measure)
 
     def test_merge_sims_do_not_depend_on_hash_seed(self):
         """Every measure sums over sets of string pairs, whose order
