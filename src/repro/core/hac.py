@@ -35,11 +35,12 @@ on any path, so the dense score and the ``fsum`` score both lie
 within a factor ``1 ± γ_K`` (``γ_K = K·u / (1 - K·u)``, ``u = 2⁻⁵³``) of
 the real-number score (Higham, "Accuracy and Stability of Numerical
 Algorithms", §3.1). An exact maximum therefore has a dense score of at
-least ``((1 - γ_K) / (1 + γ_K))²`` times the dense maximum, and
-``1 - 8·K·u`` lies below that. Every pair at or above that floor is
-re-scored with ``math.fsum`` over the same terms, and the first exact
-maximum is merged with its exact ``sim``. A dense score of 0 has no
-positive term, so it is exact.
+least ``((1 - γ_K) / (1 + γ_K))² ≥ 1 - 4.04·K·u`` times the dense
+maximum; the floor ``1 - 8·K·u`` lies below that with room for its own
+rounding. Every pair at or above that floor is re-scored with
+``math.fsum`` over the same terms, and the first exact maximum is merged
+with its exact ``sim``. A dense score of 0 has no positive term, so it is
+exact.
 
 The full merge sequence is recorded as a :class:`Dendrogram` (Def. 7);
 ``theta(h)`` returns the partition just before the first merge whose
@@ -221,7 +222,7 @@ def cluster_users(
     for r in range(1, n):
         S[:r, r] = rows.dense(r, np.arange(r))
     best = S.max(axis=1)
-    exact: dict[tuple[int, int], float] = {}
+    fsum_sims: dict[tuple[int, int], float] = {}
     alive = list(range(n))
     merges: list[Merge] = []
     while len(alive) > 1:
@@ -231,10 +232,10 @@ def cluster_users(
         if rows.margin and top > 0:
             cands = list(cands)
             for p in cands:
-                if p not in exact:
-                    exact[p] = rows.exact(*p)
-            i, j = max(cands, key=exact.__getitem__)
-            sim = exact[i, j]
+                if p not in fsum_sims:
+                    fsum_sims[p] = rows.exact(*p)
+            i, j = max(cands, key=fsum_sims.__getitem__)
+            sim = fsum_sims[i, j]
         else:
             (i, j), sim = next(cands), top
         i, j = int(i), int(j)

@@ -21,6 +21,10 @@ over all ordered value pairs — the multiset Jaccard of [5]):
 Cluster-level similarity (Eq. 1) sums per-attribute similarities; the
 experiment harness divides by ``|D|`` so Jaccard-family similarities stay
 in [0, 1] and the paper's branch cuts ``h ∈ (0, 1]`` apply directly.
+
+HAC (:mod:`repro.core.hac`) evaluates these measures over dense rows and
+re-scores its near-maxima with the same ``math.fsum`` sums; its tests
+check its merges against these scalar functions.
 """
 from __future__ import annotations
 
