@@ -114,7 +114,7 @@ class _Rows:
         cols = [sorted({pair for p in prefs for pair in p[d].pairs}, key=repr) for d in attrs]
         bounds = np.cumsum([0] + [len(c) for c in cols])
         self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        index = [{pair: k for k, pair in enumerate(c, start=a)} for c, a in zip(cols, bounds)]
+        index = [{pair: k for k, pair in enumerate(c, start=int(a))} for c, a in zip(cols, bounds)]
         n, width = len(prefs), int(bounds[-1])
         self.attrs = tuple(attrs)
         self.values = np.zeros((2 * n - 1, width))
