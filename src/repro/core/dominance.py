@@ -80,20 +80,9 @@ class Profile:
             self._index.append(idx)
             codes.append((geq.T | geq << 1).ravel())
         self._table = np.concatenate(codes)
-        self._offsets()
-
-    def _offsets(self) -> None:
-        """Per-attribute stride ``n_d`` and table offset ``base_d``, rebuilt
-        from ``_index`` rather than pickled."""
+        # Per-attribute stride n_d and table offset base_d.
         self._n = np.array([len(idx) for idx in self._index], dtype=np.intp)
         self._base = np.cumsum(self._n**2) - self._n**2
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in ("_n", "_base")}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._offsets()
 
     @property
     def n_attrs(self) -> int:

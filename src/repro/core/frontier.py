@@ -12,9 +12,12 @@ row ``i`` is the encoding of ``ids[i]``. Every update binds a new matrix
 and never writes into the old one, so an array taken from :meth:`matrix`
 (or a row of it) stays valid while the frontier changes: an append or a
 discard is one ``np.concatenate`` into a new array, an eviction one boolean
-index. The copies are kept on purpose: appending into spare rows made the
-append-only benchmark about 6% faster but doubled the pickled engine
-state, since the spare rows are pickled too.
+index. A frontier is not pickled as such: an engine's state keeps each
+object's row once and every frontier as indices into them
+(``core/sliding.py``), so only the rows in use reach the state. Appending
+into spare rows, about 6% faster on the append-only benchmark when it was
+tried, was turned down because it doubled the pickled state; with that
+layout it would not.
 """
 from __future__ import annotations
 

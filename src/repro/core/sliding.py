@@ -51,9 +51,20 @@ the arrival's target users; ``disseminated`` holds the (user, object)
 pairs the latest ``insert`` emitted: those targets plus the mend
 promotions of that step. It is emptied in place at the start of every
 ``insert``, so a reference to it stays valid.
+
+Pickling an engine keeps its state only: the arrival count, the window,
+the comparison counter, the last step's pairs, and every object that some
+frontier or buffer holds, once, as an id plus one ``int32`` row. Each
+frontier and buffer is an array of indices into that table, in row order.
+Profiles, clusters and the encoder are configuration, rebuilt from the
+engine's inputs, and are never pickled. ``pickle.loads`` gives an engine
+whose ``t``, ``counter`` and ``disseminated`` can be read as they are;
+:meth:`_Engine.attach` gives it the profiles of a fresh engine built from
+the same configuration, which a digest of that configuration checks.
 """
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from typing import Hashable, Mapping, Sequence
 
@@ -90,8 +101,36 @@ class _Buffer(Frontier):
         return [(self.ids[i], rows[i]) for i in np.flatnonzero(masks.dominates)]
 
 
+def _pack(stores: list[Frontier]) -> tuple:
+    """The objects ``stores`` hold, each once: ``(ids, rows, index,
+    lengths)``, where store ``k`` is ``index[sum(lengths[:k]):][:lengths[k]]``
+    into ``ids``/``rows``. Both arrays take the narrowest unsigned dtype."""
+    ids = [oid for fr in stores for oid in fr.ids]
+    rows = np.concatenate([fr._matrix for fr in stores] or [np.zeros((0, 0), np.int32)])
+    slot: dict = {}
+    index = np.array([slot.setdefault(oid, len(slot)) for oid in ids], dtype=np.intp)
+    first = np.unique(index, return_index=True)[1]
+    if not np.array_equal(rows[first][index], rows):
+        # A replayed id came with other values: tell objects apart by row too.
+        slot = {}
+        keys = zip(ids, map(tuple, rows.tolist()))
+        index = np.array([slot.setdefault(k, len(slot)) for k in keys], dtype=np.intp)
+        first = np.unique(index, return_index=True)[1]
+    lengths = np.array([len(fr) for fr in stores])
+    return (
+        [ids[i] for i in first.tolist()],
+        rows[first],
+        index.astype(np.min_scalar_type(max(len(first) - 1, 0))),
+        lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
+    )
+
+
 class _Engine:
-    """Arrival order, expiry and emission shared by both engines."""
+    """Arrival order, expiry, emission and state handling shared by both
+    engines."""
+
+    #: the attributes holding frontier and buffer dicts, in pickled order
+    _STORES: tuple[str, ...] = ()
 
     def __init__(self, frontiers: Mapping[Hashable, Frontier], window: int | None):
         self.window = window
@@ -102,9 +141,71 @@ class _Engine:
         self.t = 0
         self.counter = ComparisonCounter()
         self.disseminated: set[tuple[UserId, ObjectId]] = set()
+        self._digest: bytes | None = None
+        self._packed: tuple | None = None  # an unpickled engine's rows until attach()
+
+    def _stores(self) -> list[tuple[str, Hashable, Frontier]]:
+        return [(name, key, fr) for name in self._STORES
+                for key, fr in getattr(self, name).items()]
+
+    def config_digest(self) -> bytes:
+        """Digest of the configuration that gives the stored rows their
+        meaning: engine class, window, members, attribute domains in
+        encoding order and every profile's code table. It hashes values
+        and ids by ``repr``, so it does not depend on ``PYTHONHASHSEED``."""
+        if self._digest is None:
+            enc = self._encoder
+            head = (type(self).__name__, self.window, self._layout(),
+                    enc and enc.attrs, enc and [list(idx) for idx in enc._index])
+            h = hashlib.blake2b(repr(head).encode(), digest_size=16)
+            for p in dict.fromkeys(fr.profile for _, _, fr in self._stores()):
+                h.update(p._table)
+            self._digest = h.digest()
+        return self._digest
+
+    def __getstate__(self) -> dict:
+        if self._packed is None:
+            packed = _pack([fr for _, _, fr in self._stores()])
+        else:
+            packed = self._packed
+        # The pairs go in a fixed order: a set's order depends on its history.
+        return {"window": self.window, "t": self.t, "_history": self._history,
+                "counter": self.counter, "disseminated": sorted(self.disseminated, key=repr),
+                "_digest": self.config_digest(), "_packed": packed}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.disseminated = set(self.disseminated)
+
+    def attach(self, config: _Engine) -> None:
+        """Make an unpickled engine runnable: share the profiles, clusters
+        and encoder of ``config``, a fresh engine built from the
+        configuration the state was saved under, and rebuild every
+        frontier and buffer from the stored rows. Raises ``ValueError``
+        when ``config`` has another configuration digest."""
+        if self._packed is None:
+            raise RuntimeError("engine is attached already")
+        if config.config_digest() != self._digest:
+            raise ValueError(
+                f"engine state digest mismatch: the state was saved under configuration "
+                f"{self._digest.hex()}, the engine to attach has {config.config_digest().hex()}")
+        ids, rows, index, lengths = self._packed
+        stores = {name: {} for name in self._STORES}
+        parts = np.split(index, np.cumsum(lengths)[:-1])
+        for (name, key, fr), part in zip(config._stores(), parts):
+            store = stores[name][key] = type(fr)(fr.profile)
+            store.ids = [ids[i] for i in part.tolist()]
+            store._matrix = rows[part]
+        self.__dict__.update(stores)
+        for name, value in vars(config).items():  # configuration: shared
+            self.__dict__.setdefault(name, value)
+        self._packed = None
 
     def insert(self, oid: ObjectId, obj: ObjectValues) -> set[UserId]:
         """Process one arrival; returns its target users ``C_o``."""
+        if self._packed is not None:
+            raise RuntimeError("an unpickled engine holds no profiles: attach() it to an "
+                               "engine built from the same configuration first")
         self.disseminated.clear()
         self.t += 1
         if self.window is not None:
@@ -135,6 +236,8 @@ class _Engine:
 class BaselineSWEngine(_Engine):
     """Alg. 1 / Alg. 4: per-user frontier (+ per-user Pareto buffer)."""
 
+    _STORES = ("frontiers", "buffers")
+
     def __init__(
         self,
         attrs: Sequence[str],
@@ -150,6 +253,9 @@ class BaselineSWEngine(_Engine):
             else {c: _Buffer(fr.profile) for c, fr in self.frontiers.items()}
         )
         super().__init__(self.frontiers, window)
+
+    def _layout(self) -> list[UserId]:
+        return list(self.frontiers)
 
     def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()
@@ -188,6 +294,8 @@ class FTVSWEngine(_Engine):
     approximate one (clusters carry ``≻_aU``).
     """
 
+    _STORES = ("cluster_frontiers", "cluster_buffers", "user_frontiers")
+
     def __init__(
         self,
         attrs: Sequence[str],
@@ -218,6 +326,9 @@ class FTVSWEngine(_Engine):
             for c in cl.members
         }
         super().__init__(self.cluster_frontiers, window)
+
+    def _layout(self) -> list[tuple[Hashable, tuple[UserId, ...]]]:
+        return [(cl.cluster_id, cl.members) for cl in self.clusters]
 
     def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()

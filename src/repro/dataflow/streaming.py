@@ -10,9 +10,13 @@ sliding window semantics"):
   (``explode`` over the static cluster-id list — the stream-static
   replication join);
 * ``groupBy(cluster_id).applyInPandasWithState`` runs one
-  FilterThenVerify(SW) engine per cluster, its state carried across
-  micro-batches as pickled bytes in the state store (so the query
-  restarts from the checkpoint with frontiers and Pareto buffers intact);
+  FilterThenVerify(SW) engine per cluster. Its state (window, counters and
+  the rows of its frontiers and Pareto buffers, each object once) is
+  carried across micro-batches as pickled bytes in the state store, so
+  the query restarts from the checkpoint with frontiers and buffers
+  intact. Profiles are not in that state: each worker re-attaches them
+  from its per-payload cache (``dissemination.attach``), and a state
+  saved under another cluster payload fails its digest check;
 * count-based sliding-window semantics (Sec. VII) live inside the engine
   state — the window is over arrival order, exactly the paper's
   ``(in - W, in]`` protocol;
@@ -35,7 +39,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.streaming.state import GroupStateTimeout
 
 from repro.core.common import Cluster
-from repro.dataflow.dissemination import OUTPUT_SCHEMA, _cluster_payload, make_engine
+from repro.dataflow.dissemination import OUTPUT_SCHEMA, _cluster_payload, attach, make_engine
 
 INPUT_SCHEMA = "obj_id string, ts long, vals array<string>"
 STATE_SCHEMA = "engine binary"
@@ -97,7 +101,7 @@ def build_query(
     def process(key, pdf_iter, state):
         cid = str(key[0])
         if state.exists:
-            engine = pickle.loads(state.get[0])
+            engine = attach(pickle.loads(state.get[0]), bc.value[cid])
         else:
             engine = make_engine(bc.value[cid])
         rows = []

@@ -1,9 +1,16 @@
 """Sliding-window engines (Algorithms 4-5): paper examples + brute-force
-window-frontier equivalence at every step on random streams."""
+window-frontier equivalence at every step on random streams; engine state
+survives pickling."""
+import os
 import pickle
+import pickletools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.common import cluster_common_relation, make_exact_clusters
 from repro.core.dominance import Profile, brute_force_frontier
@@ -311,3 +318,131 @@ def test_comparison_counts_by_stage(counted_movie, kind, window):
     for oid, vals in ds.stream:
         eng.insert(oid, vals)
     assert eng.counter.by_stage == STAGE_COUNTS[kind, window]
+
+
+def _counted_engine(ds, dend, kind, window):
+    if kind == "baseline":
+        return BaselineSWEngine(ds.attrs, ds.prefs, ds.domains, window=window)
+    clusters = clusters_for(ds, dend, 0.6, approximate=kind == "approx")
+    return FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=window)
+
+
+def _step_view(eng, window):
+    """What one arrival step shows: its pairs, the stage counts, every
+    frontier and buffer, and the pickled engine."""
+    if isinstance(eng, FTVSWEngine):
+        cids = [cl.cluster_id for cl in eng.clusters]
+        users = [c for cl in eng.clusters for c in cl.members]
+        sets = {("P_U", cid): eng.cluster_frontier_of(cid) for cid in cids}
+        if window:
+            sets.update({("PB_U", cid): eng.cluster_buffer_of(cid) for cid in cids})
+    else:
+        users = list(eng.frontiers)
+        sets = {("PB_c", c): eng.buffer_of(c) for c in users} if window else {}
+    sets.update({("P_c", c): eng.frontier_of(c) for c in users})
+    return set(eng.disseminated), dict(eng.counter.by_stage), sets, pickle.dumps(eng)
+
+
+ROUND_TRIP_STEPS = 90  #: W = 40 expires objects from step 41 on
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(counted_movie):
+    """``uninterrupted(kind, window)``: the step views of one engine that
+    runs the first ``ROUND_TRIP_STEPS`` arrivals without a restart."""
+    ds, dend = counted_movie
+    runs = {}
+
+    def views(kind, window):
+        if (kind, window) not in runs:
+            eng = _counted_engine(ds, dend, kind, window)
+            runs[kind, window] = []
+            for oid, vals in ds.stream[:ROUND_TRIP_STEPS]:
+                eng.insert(oid, vals)
+                runs[kind, window].append(_step_view(eng, window))
+        return runs[kind, window]
+
+    return views
+
+
+@pytest.mark.parametrize("kind, window", list(STAGE_COUNTS))
+@given(restarts=st.sets(st.integers(1, ROUND_TRIP_STEPS), max_size=5))
+@settings(max_examples=6, deadline=None)
+def test_pickle_round_trip_continues_exactly(counted_movie, uninterrupted, kind, window, restarts):
+    """Pickled, loaded and attached before any of the ``restarts`` steps,
+    an engine goes on exactly as one that never stopped."""
+    ds, dend = counted_movie
+    want = uninterrupted(kind, window)
+    eng = _counted_engine(ds, dend, kind, window)
+    for t, (oid, vals) in enumerate(ds.stream[:ROUND_TRIP_STEPS], start=1):
+        if t in restarts:
+            eng = pickle.loads(pickle.dumps(eng))
+            eng.attach(_counted_engine(ds, dend, kind, window))
+        eng.insert(oid, vals)
+        assert _step_view(eng, window) == want[t - 1], (t, sorted(restarts))
+
+
+@pytest.mark.parametrize("kind", ["baseline", "approx"])
+def test_pickled_engine_holds_no_configuration(counted_movie, kind):
+    """The state names no profile, relation or cluster class: those are
+    rebuilt from the engine's inputs, not carried in every pickle."""
+    ds, dend = counted_movie
+    eng = _counted_engine(ds, dend, kind, 40)
+    for oid, vals in ds.stream[:60]:
+        eng.insert(oid, vals)
+    blob = pickle.dumps(eng)
+    strings = {arg for _, arg, _ in pickletools.genops(blob) if isinstance(arg, str)}
+    assert type(eng).__name__ in strings
+    assert not strings & {"Profile", "Poset", "Cluster", "Frontier", "_Buffer"}, strings
+
+
+def test_unpickled_engine_reads_without_profiles(counted_movie):
+    ds, dend = counted_movie
+    eng = _counted_engine(ds, dend, "exact", 40)
+    for oid, vals in ds.stream[:60]:
+        eng.insert(oid, vals)
+    loaded = pickle.loads(pickle.dumps(eng))
+    assert (loaded.t, loaded.counter, loaded.disseminated) == (eng.t, eng.counter, eng.disseminated)
+    with pytest.raises(RuntimeError, match="attach"):
+        loaded.insert(*ds.stream[60])
+    assert loaded.t == eng.t
+
+
+def test_attach_checks_the_configuration_digest(counted_movie):
+    ds, dend = counted_movie
+    eng = _counted_engine(ds, dend, "exact", 40)
+    eng.insert(*ds.stream[0])
+    for other in (_counted_engine(ds, dend, "approx", 40),
+                  _counted_engine(ds, dend, "exact", 41),
+                  _counted_engine(ds, dend, "exact", None)):
+        with pytest.raises(ValueError, match="digest mismatch"):
+            pickle.loads(pickle.dumps(eng)).attach(other)
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.core.common import make_exact_clusters
+from repro.core.sliding import FTVSWEngine
+from repro.dataflow.dissemination import _cluster_payload
+from repro.datasets import movie
+ds = movie.generate(n_users=6, n_groups=2, n_stream=10)
+users = sorted(ds.users)
+clusters = make_exact_clusters([users[:3], users[3:]], ds.prefs, ds.attrs)
+eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=25)
+payload = b"".join(_cluster_payload(clusters, ds.prefs, ds.attrs, ds.domains, 25).values())
+print(eng.config_digest().hex(), hashlib.sha256(payload).hexdigest())
+"""
+
+
+def test_config_digest_ignores_the_hash_seed():
+    """Workers and restarted drivers may run under other hash seeds: the
+    digest is equal, although the pickled payload (frozensets) is not."""
+    out = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        out.append(proc.stdout.split())
+    (digest0, payload0), (digest1, payload1) = out
+    assert digest0 == digest1
+    assert payload0 != payload1

@@ -1,12 +1,15 @@
 """Structured Streaming pipeline: availableNow replay equals the driver
 engines pair for pair, each pair stamped with the arrival that emitted it;
-engine state survives a query restart via the checkpoint."""
+engine state survives a query restart via the checkpoint, and a restart
+under other clusters fails."""
 import os
+import pickle
 
 import pytest
 
-from repro.core.common import make_exact_clusters
+from repro.core.common import Cluster, cluster_common_relation, make_exact_clusters
 from repro.core.sliding import FTVSWEngine
+from repro.dataflow import dissemination
 from repro.dataflow.streaming import (
     build_query,
     read_disseminations,
@@ -94,6 +97,64 @@ def test_state_survives_restart(spark, ds, clusters, tmp_path):
         os.replace(path, in_dir / os.path.basename(path))
         run_stream_to_completion(spark, _writer(spark, tmp_path, ds, clusters))
     assert set(_stamped_pairs(spark, tmp_path)) == run_baseline(ds).disseminated
+
+
+def test_state_survives_restart_mid_window(spark, ds, clusters, tmp_path):
+    """W = 25 and the restart after arrival 10, inside the first window:
+    buffers saved before it must mend frontiers after it."""
+    window = 25
+    staging, in_dir = tmp_path / "staging", tmp_path / "in"
+    paths = write_stream_files(ds.stream, str(staging), files=8)  # 10 objects each
+    os.makedirs(in_dir)
+    for part in (paths[:1], paths[1:]):
+        for path in part:
+            os.replace(path, in_dir / os.path.basename(path))
+        run_stream_to_completion(spark, _writer(spark, tmp_path, ds, clusters, window))
+    got = _stamped_pairs(spark, tmp_path)
+    assert got == driver_stamps(ds, clusters, window)
+    arrival = {oid: t for t, (oid, _) in enumerate(ds.stream, start=1)}
+    # A mend promotion after the restart of an object that arrived before it.
+    assert any(ts > 10 >= arrival[obj] for (_, obj), ts in got.items())
+
+
+def test_restart_under_other_clusters_fails(spark, ds, clusters, tmp_path):
+    """The same cluster ids with other members: the stored state was saved
+    under another configuration, and the query says so."""
+    a, b = clusters[0].members, clusters[1].members
+    moved = [(a[1:] + b[:1]), (b[1:] + a[:1])]
+    other = [Cluster(cl.cluster_id, members, cluster_common_relation(members, ds.prefs, ds.attrs))
+             for cl, members in zip(clusters, moved)]
+    staging, in_dir = tmp_path / "staging", tmp_path / "in"
+    first, second = write_stream_files(ds.stream, str(staging), files=2)
+    os.makedirs(in_dir)
+    os.replace(first, in_dir / os.path.basename(first))
+    run_stream_to_completion(spark, _writer(spark, tmp_path, ds, clusters))
+    os.replace(second, in_dir / os.path.basename(second))
+    with pytest.raises(Exception, match="digest mismatch"):
+        run_stream_to_completion(spark, _writer(spark, tmp_path, ds, other))
+
+
+def test_worker_builds_profiles_once_per_payload(ds, clusters, monkeypatch):
+    """New and restored engines of one payload share the profiles of one
+    cached engine; another payload (here another window) gets its own."""
+    built = []
+    monkeypatch.setattr(dissemination, "_configured", type(dissemination._configured)())
+    monkeypatch.setattr(dissemination, "FTVSWEngine",
+                        lambda *a, **kw: built.append(a) or FTVSWEngine(*a, **kw))
+    payload = dissemination._cluster_payload(clusters, ds.prefs, ds.attrs, ds.domains, 25)
+    cid = str(clusters[0].cluster_id)
+    engines = [dissemination.make_engine(payload[cid]) for _ in range(2)]
+    for oid, vals in ds.stream[:30]:
+        engines[0].insert(oid, vals)
+    engines.append(dissemination.attach(pickle.loads(pickle.dumps(engines[0])), payload[cid]))
+    assert len(built) == 1
+    profiles = [[fr.profile for fr in e.user_frontiers.values()] for e in engines]
+    assert all(p is q for other in profiles[1:] for p, q in zip(profiles[0], other))
+    assert engines[2].frontier_of(clusters[0].members[0]) == engines[0].frontier_of(
+        clusters[0].members[0])
+    again = dissemination._cluster_payload(clusters, ds.prefs, ds.attrs, ds.domains, 30)
+    dissemination.make_engine(again[cid])
+    assert len(built) == 2
 
 
 def test_state_partitions_follow_the_clusters(spark, ds, tmp_path):
