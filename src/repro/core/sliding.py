@@ -183,8 +183,6 @@ class _Engine:
         configuration the state was saved under, and rebuild every
         frontier and buffer from the stored rows. Raises ``ValueError``
         when ``config`` has another configuration digest."""
-        if self._packed is None:
-            raise RuntimeError("engine is attached already")
         if config.config_digest() != self._digest:
             raise ValueError(
                 f"engine state digest mismatch: the state was saved under configuration "

@@ -40,7 +40,9 @@ def _cluster_payload(
 
 
 _CACHE_SIZE = 64
-_configured: OrderedDict[bytes, FTVSWEngine] = OrderedDict()  # payload digest -> fresh engine
+#: payload digest -> fresh engine. A module global, because it must outlive
+#: the calls of the query's per-group function within one worker process.
+_configured: OrderedDict[bytes, FTVSWEngine] = OrderedDict()
 
 
 def _configuration(payload: bytes) -> FTVSWEngine:

@@ -382,6 +382,26 @@ def test_pickle_round_trip_continues_exactly(counted_movie, uninterrupted, kind,
         assert _step_view(eng, window) == want[t - 1], (t, sorted(restarts))
 
 
+@pytest.mark.parametrize("window", [None, 9])
+def test_round_trip_keeps_replayed_ids_apart(window):
+    """An id that arrives again with other values names two rows; the
+    state keeps both."""
+    attrs, domains, users, stream = _random_setup(0)
+    stream = [(f"o{t % 5}", obj) for t, (_, obj) in enumerate(stream)]
+    eng = BaselineSWEngine(attrs, users, domains, window=window)
+    restored = BaselineSWEngine(attrs, users, domains, window=window)
+
+    def rows(e):
+        return [(fr.ids, fr.matrix().tolist())
+                for store in (e.frontiers, e.buffers) for fr in store.values()]
+
+    for oid, obj in stream:
+        restored = pickle.loads(pickle.dumps(restored))
+        restored.attach(BaselineSWEngine(attrs, users, domains, window=window))
+        assert restored.insert(oid, obj) == eng.insert(oid, obj), oid
+        assert rows(restored) == rows(eng), oid
+
+
 @pytest.mark.parametrize("kind", ["baseline", "approx"])
 def test_pickled_engine_holds_no_configuration(counted_movie, kind):
     """The state names no profile, relation or cluster class: those are
