@@ -104,7 +104,8 @@ class _Buffer(Frontier):
 def _pack(stores: list[Frontier]) -> tuple:
     """The objects ``stores`` hold, each once: ``(ids, rows, index,
     lengths)``, where store ``k`` is ``index[sum(lengths[:k]):][:lengths[k]]``
-    into ``ids``/``rows``. Both arrays take the narrowest unsigned dtype."""
+    into ``ids``/``rows``. ``index`` and ``lengths`` take the narrowest
+    unsigned dtype that fits."""
     ids = [oid for fr in stores for oid in fr.ids]
     rows = np.concatenate([fr._matrix for fr in stores] or [np.zeros((0, 0), np.int32)])
     slot: dict = {}
@@ -164,10 +165,7 @@ class _Engine:
         return self._digest
 
     def __getstate__(self) -> dict:
-        if self._packed is None:
-            packed = _pack([fr for _, _, fr in self._stores()])
-        else:
-            packed = self._packed
+        packed = self._packed or _pack([fr for _, _, fr in self._stores()])
         # The pairs go in a fixed order: a set's order depends on its history.
         return {"window": self.window, "t": self.t, "_history": self._history,
                 "counter": self.counter, "disseminated": sorted(self.disseminated, key=repr),
