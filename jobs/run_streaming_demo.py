@@ -10,7 +10,8 @@
    dendrogram at --h to obtain the user clusters.
 4. Build approximate common preference relations per cluster (Alg. 3).
 5. Stream the object micro-batches through the Structured Streaming
-   dissemination query (applyInPandasWithState per cluster partition).
+   dissemination query (applyInPandasWithState, one group per cluster,
+   all clusters in one state partition).
 6. Report dissemination counts and the efficacy vs the exact result.
 
 Usage: spark-submit jobs/run_streaming_demo.py [--users N] [--stream N]

@@ -1,8 +1,9 @@
 """Per-cluster engine payloads for the streaming dissemination query.
 
 Each cluster (its virtual-user relation, its members and their
-preferences) is one partition of work. ``_cluster_payload`` pickles what a
-cluster's engine needs once, on the driver. Inside a Spark worker,
+preferences) is one group of the query with a state row of its own, and
+one task runs every group of a micro-batch. ``_cluster_payload`` pickles
+what a cluster's engine needs once, on the driver. Inside a Spark worker,
 ``make_engine`` gives a cluster's group its first engine and ``attach``
 makes an engine unpickled from the state store runnable again. Both take
 the profiles from a fresh engine that each worker builds once per payload
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import sys
+import zipimport
 from collections import OrderedDict
 from typing import Mapping, Sequence
 
@@ -34,7 +37,7 @@ def _cluster_payload(
     for cl in clusters:
         members = {c: prefs_by_user[c] for c in cl.members}
         out[str(cl.cluster_id)] = pickle.dumps(
-            (cl, members, tuple(attrs), dict(domains), window)
+            (len(clusters), cl, members, tuple(attrs), dict(domains), window)
         )
     return out
 
@@ -47,14 +50,20 @@ _configured: OrderedDict[bytes, FTVSWEngine] = OrderedDict()
 
 def _configuration(payload: bytes) -> FTVSWEngine:
     """The fresh single-cluster engine of ``payload``, built once per
-    worker while it stays among the ``_CACHE_SIZE`` most recently used."""
+    worker while it stays among the most recently used.
+
+    The cache keeps ``_CACHE_SIZE`` engines, or as many as the payload's
+    query has clusters if that is more: one worker runs every cluster of
+    a query in turn on each micro-batch, and a smaller LRU would evict
+    each cluster just before its next use.
+    """
     key = hashlib.blake2b(payload, digest_size=16).digest()
     if key in _configured:
         _configured.move_to_end(key)
     else:
-        cl, members, attrs, domains, window = pickle.loads(payload)
+        n_clusters, cl, members, attrs, domains, window = pickle.loads(payload)
         _configured[key] = FTVSWEngine(attrs, [cl], members, domains, window=window)
-        if len(_configured) > _CACHE_SIZE:
+        while len(_configured) > max(_CACHE_SIZE, n_clusters):
             _configured.popitem(last=False)
     return _configured[key]
 
@@ -72,3 +81,20 @@ def make_engine(payload: bytes) -> FTVSWEngine:
     engine = pickle.loads(pickle.dumps(config))  # the empty state of a fresh engine
     engine.attach(config)
     return engine
+
+
+def drop_zip_importers() -> None:
+    """Remove the ``zipimporter`` entries of ``sys.path_importer_cache``.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` before every
+    task, and on CPython 3.11 that makes each cached ``zipimporter``
+    re-read its archive's central directory in Python: ``pyspark.zip``,
+    the py4j zip and the Spark core jar with their package sub-paths,
+    about 130 ms per task on a 4-vCPU x86_64 host. Without the entries
+    there is nothing to re-read. ``sys.path`` is left as it is, and an
+    import that searches one of those paths rebuilds its entry from
+    zipimport's directory cache without reading the archive.
+    """
+    cache = sys.path_importer_cache
+    for path in [p for p, finder in cache.items() if isinstance(finder, zipimport.zipimporter)]:
+        del cache[path]

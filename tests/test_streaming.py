@@ -2,8 +2,13 @@
 engines pair for pair, each pair stamped with the arrival that emitted it;
 engine state survives a query restart via the checkpoint, and a restart
 under other clusters fails."""
+import importlib
 import os
 import pickle
+import sys
+import zipfile
+import zipimport
+from collections import Counter
 
 import pytest
 
@@ -157,14 +162,66 @@ def test_worker_builds_profiles_once_per_payload(ds, clusters, monkeypatch):
     assert len(built) == 2
 
 
+def test_query_clusters_never_evict_each_other(ds, monkeypatch):
+    """One worker runs every cluster of a query on each micro-batch, so
+    even with more clusters than ``_CACHE_SIZE`` each builds its engine once."""
+    built = []
+    monkeypatch.setattr(dissemination, "_configured", type(dissemination._configured)())
+    monkeypatch.setattr(dissemination, "FTVSWEngine",
+                        lambda *a, **kw: built.append(a) or FTVSWEngine(*a, **kw))
+    users = sorted(ds.users)
+    n = dissemination._CACHE_SIZE + 6
+    singles = make_exact_clusters([[users[i % len(users)]] for i in range(n)], ds.prefs, ds.attrs)
+    payload = dissemination._cluster_payload(singles, ds.prefs, ds.attrs, ds.domains, 25)
+    engines = {cid: dissemination.make_engine(p) for cid, p in payload.items()}
+    for _ in range(2):
+        for cid, p in payload.items():
+            engines[cid] = dissemination.attach(pickle.loads(pickle.dumps(engines[cid])), p)
+    per_cluster = Counter(cl.cluster_id for _, (cl,), *_ in built)
+    assert per_cluster == Counter(range(n))
+
+
+def test_dropped_zip_importers_read_no_archive(tmp_path, monkeypatch):
+    """PySpark's worker calls ``importlib.invalidate_caches()`` before each
+    task, which re-reads every zip archive a cached ``zipimporter`` serves;
+    after ``drop_zip_importers`` it reads none, and the zip still imports."""
+    archive = tmp_path / "zpkg.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("zpkg/__init__.py", "")
+        zf.writestr("zpkg/a.py", "A = 1\n")
+        zf.writestr("zpkg/b.py", "B = 2\n")
+    reads = []
+    read_directory = zipimport._read_directory
+    monkeypatch.setattr(zipimport, "_read_directory",
+                        lambda path: reads.append(path) or read_directory(path))
+    monkeypatch.setattr(sys, "path_importer_cache", dict(sys.path_importer_cache))
+    monkeypatch.syspath_prepend(str(archive))
+    try:
+        import zpkg.a  # noqa: F401
+
+        reads.clear()
+        importlib.invalidate_caches()
+        assert str(archive) in reads
+        dissemination.drop_zip_importers()
+        reads.clear()
+        importlib.invalidate_caches()
+        assert reads == []
+        import zpkg.b
+
+        assert zpkg.b.B == 2 and reads == []
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "zpkg"]:
+            del sys.modules[name]
+
+
 def test_state_partitions_follow_the_clusters(spark, ds, tmp_path):
-    """Three clusters keep three state partitions (fewer on fewer cores),
-    whatever the session's shuffle partitions, which stay as they were."""
+    """Three clusters share one state partition whatever the session's
+    shuffle partitions, which stay as they were."""
     before = spark.conf.get("spark.sql.shuffle.partitions")
     users = sorted(ds.users)
     three = make_exact_clusters([users[:3], users[3:6], users[6:]], ds.prefs, ds.attrs)
     got = run_once(spark, tmp_path, ds, three)
     assert got == driver_stamps(ds, three, None)
     state = os.listdir(tmp_path / "ckpt" / "state" / "0")
-    assert len(set(state) - {"_metadata"}) == min(3, spark.sparkContext.defaultParallelism)
+    assert len(set(state) - {"_metadata"}) == 1
     assert spark.conf.get("spark.sql.shuffle.partitions") == before
