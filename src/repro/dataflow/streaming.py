@@ -95,10 +95,10 @@ def build_query(
     cluster is still a group with its own state row. The state store loads
     and commits every shuffle partition on each micro-batch, and each
     partition is a task with its own output file and Python worker round
-    trip: about 33 ms per partition per 30-object micro-batch on a 4-vCPU
-    host, while the engine work of all five clusters of that batch sums to
-    about 27 ms. Running clusters in parallel pays only once a micro-batch
-    carries several times more engine work.
+    trip. On a 4-vCPU host that is about 33 ms per partition per
+    micro-batch, while the engine work of a 30-object micro-batch over
+    five clusters sums to about 27 ms; running clusters in parallel pays
+    only once a micro-batch carries several times more engine work.
     """
     payloads = _cluster_payload(clusters, prefs_by_user, attrs, domains, window)
     bc = spark.sparkContext.broadcast(payloads)
