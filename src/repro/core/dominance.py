@@ -2,28 +2,45 @@
 
 A :class:`Profile` fixes one preference holder — a real user or a
 cluster's virtual user — as (attrs, per-attr :class:`Poset`, per-attr
-domain). Objects are dictionary-encoded into small integer vectors once
-per profile. Per attribute ``d`` with ``n_d`` values the profile keeps a
-2-bit code for every ordered pair of an object's value ``u`` and a
-frontier row's value ``v``::
+domain). Per attribute ``d`` with ``n_d`` values the profile keeps a 2-bit
+code for every ordered pair of an object's value ``u`` and a frontier
+row's value ``v``::
 
     code_d[u, v] = geq_d[v, u] | geq_d[u, v] << 1
     geq_d[i, j]  ⟺  value_i == value_j  or  value_i ≻^d value_j
 
 All codes sit raveled in one flat ``uint8`` table (attribute ``d`` at
-offset ``base_d``, row stride ``n_d``), so comparing ``x`` against a whole
-frontier matrix ``F`` is one gather ``table[base + x * n + F]`` and one
-AND over the attributes. Bit 0 of the result says "row ≽ x on every
-attribute", bit 1 "x ≽ row on every attribute". A strict partial order is
-antisymmetric, so both bits together mean the row equals ``x``: code 1 is
-``row ≻ x``, 2 is ``x ≻ row`` and 3 is identical. The index is built
-attribute-major (``F.T``) so that the AND runs over whole rows of the
-gathered array rather than along its short last axis. :meth:`Profile.compare`
-returns that code array; each mask is one compare against a ``uint8``
-constant, made only when a caller reads it. ``x`` may also be a ``(c, K)``
-matrix of objects, which gives ``(c, m)`` codes from the same gather. Tests
-prove this kernel equivalent to both the raw transitive-closure check and
-the CPS-embedding comparison on random posets.
+offset ``base_d``, row stride ``n_d``). Bit 0 of a code says "row ≽ x",
+bit 1 "x ≽ row". AND-ed over the attributes, a strict partial order's
+antisymmetry makes code 1 mean ``row ≻ x``, 2 ``x ≻ row`` and 3 identical.
+
+An :class:`Encoder` dictionary-encodes objects once for every profile over
+the same domains: attribute ``d``'s value ``v`` gets the global id
+``g = col_d + v``, where ``col_d = n_0 + … + n_{d-1}``, so one id names an
+(attribute, value) pair. For an object ``x`` the encoder computes, once,
+the table indices of its *code row*: for every global id ``g`` (every
+value of every domain, Σ n_d entries) the index of ``code_d[x_d, v]``. A
+profile gathers its own codes at those indices, so its row ``R`` holds
+``x``'s code against every value of every attribute, and comparing ``x``
+with a whole frontier ``F`` of global ids is ``R[F.T]`` and one AND over
+the attributes: two numpy calls. Frontiers keep their rows
+attribute-major, so ``F.T`` is contiguous and the AND runs over whole
+rows. ``x`` may also be a ``(c, K)`` matrix of objects, which gives
+``(c, m)`` codes from ``R[:, F.T]``.
+
+The encoder keeps the indices of the last object it saw and each profile
+its last row, both keyed by the identity of that object. Only a
+read-only ``x`` is kept (whose memory owner, if it has one, is read-only
+too), so an array that changes in place is never answered from a stale
+row; :meth:`Encoder.encode` returns read-only vectors, which the engines
+pass to every profile, so all profiles of one object share its indices
+and the cluster profile's ``P_U`` compare and buffer compare share its
+row.
+
+:meth:`Profile.compare` returns the code array; each mask is one compare
+against a code constant, made only when a caller reads it. Tests prove
+this kernel equivalent to both the raw transitive-closure check and the
+CPS-embedding comparison on random posets.
 """
 from __future__ import annotations
 
@@ -37,8 +54,8 @@ from repro.posets.poset import Poset
 Value = Hashable
 ObjectValues = tuple[Value, ...]
 
-
-_ROW_WINS, _X_WINS, _EQUAL = np.uint8(1), np.uint8(2), np.uint8(3)
+#: AND-reduced codes: a row beats x, x beats a row, the two are identical
+ROW_WINS, X_WINS, EQUAL = 1, 2, 3
 
 
 class DominanceMasks:
@@ -51,52 +68,114 @@ class DominanceMasks:
         self.code = code  #: AND-reduced 2-bit codes, shape ``(m,)`` or ``(c, m)``
         self.n_compared = n_compared  #: object pairs compared (the paper's work metric)
 
-    dominated_by = property(lambda self: self.code == _ROW_WINS,
+    dominated_by = property(lambda self: self.code == ROW_WINS,
                             doc="rows of F that strictly dominate x")
-    dominates = property(lambda self: self.code == _X_WINS,
+    dominates = property(lambda self: self.code == X_WINS,
                          doc="rows of F strictly dominated by x")
-    identical = property(lambda self: self.code == _EQUAL,
+    identical = property(lambda self: self.code == EQUAL,
                          doc="rows of F equal to x on every attribute")
 
 
+def _frozen(x: np.ndarray) -> bool:
+    """``x`` cannot change: it is read-only, and so is its memory owner."""
+    base = x.base
+    return not x.flags.writeable and (
+        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+
+
+class Encoder:
+    """Dictionary encoding over fixed domains, shared by every profile
+    built on them: global value ids and the code-row indices of an object.
+    """
+
+    def __init__(self, attrs: Sequence[str], domains: Mapping[str, Sequence[Value]]):
+        self.attrs = tuple(attrs)
+        #: per attribute, the domain in encoding order: value -> local id
+        self.index = [{v: i for i, v in enumerate(domains[d])} for d in self.attrs]
+        n = np.array([len(idx) for idx in self.index], dtype=np.intp)
+        self.n = n  #: per-attribute stride n_d
+        self.base = np.cumsum(n**2) - n**2  #: per-attribute table offset base_d
+        self.col = np.cumsum(n) - n  #: per-attribute first global id col_d
+        self._global = [{v: int(c) + i for v, i in idx.items()}
+                        for c, idx in zip(self.col, self.index)]
+        # Global id g = col_d + v indexes code_d[u, v] at base_d + u * n_d + v,
+        # i.e. at _off[g] + x_d * _stride[g] for an object with global id x_d.
+        attr = np.repeat(np.arange(len(n)), n)
+        self._attr = attr
+        self._stride = n[attr]
+        local = np.arange(n.sum()) - self.col[attr]
+        self._off = self.base[attr] - self.col[attr] * n[attr] + local
+        self._x: np.ndarray | None = None
+        self._idx: np.ndarray | None = None
+
+    def encode(self, obj: ObjectValues) -> np.ndarray:
+        """Object attribute values -> read-only ``intp`` vector of global ids."""
+        x = np.array([self._global[k][v] for k, v in enumerate(obj)], dtype=np.intp)
+        x.flags.writeable = False
+        return x
+
+    def row_index(self, x: np.ndarray) -> np.ndarray:
+        """Table indices of the code row of ``x`` (``K``), ``(Σ n_d,)``; or of
+        each row of ``x`` (``c x K``), ``(c, Σ n_d)``."""
+        if x is self._x:
+            return self._idx
+        if x.ndim == 1:
+            idx = self._off + x[self._attr] * self._stride
+        else:
+            idx = self._off + x[:, self._attr] * self._stride
+        if _frozen(x):
+            self._x, self._idx = x, idx
+        return idx
+
+
 class Profile:
-    """Dominance comparator for one preference profile over fixed domains."""
+    """Dominance comparator for one preference profile over fixed domains.
+
+    Profiles built with the same ``encoder`` share its encoding; without
+    one, the profile builds its own from ``attrs`` and ``domains``.
+    """
 
     def __init__(
         self,
         attrs: Sequence[str],
         prefs: Mapping[str, Poset],
         domains: Mapping[str, Sequence[Value]],
+        encoder: Encoder | None = None,
     ):
+        self.encoder = encoder if encoder is not None else Encoder(attrs, domains)
         self.attrs = tuple(attrs)
-        self._index: list[dict[Value, int]] = []
+        if self.attrs != self.encoder.attrs:
+            raise ValueError(f"profile attributes {self.attrs} differ from the "
+                             f"encoder's {self.encoder.attrs}")
         codes = []
-        for d in self.attrs:
-            dom = list(domains[d])
-            idx = {v: i for i, v in enumerate(dom)}
-            geq = np.eye(len(dom), dtype=np.uint8)
+        for d, idx in zip(self.attrs, self.encoder.index):
+            geq = np.eye(len(idx), dtype=np.uint8)
             for (x, y) in prefs[d].pairs:
                 geq[idx[x], idx[y]] = 1
-            self._index.append(idx)
             codes.append((geq.T | geq << 1).ravel())
         self._table = np.concatenate(codes)
-        # Per-attribute stride n_d and table offset base_d.
-        self._n = np.array([len(idx) for idx in self._index], dtype=np.intp)
-        self._base = np.cumsum(self._n**2) - self._n**2
+        self._x: np.ndarray | None = None
+        self._row: np.ndarray | None = None
 
     @property
     def n_attrs(self) -> int:
         return len(self.attrs)
 
     def encode(self, obj: ObjectValues) -> np.ndarray:
-        """Object attribute values -> int vector (one id per attribute)."""
-        return np.array([self._index[k][v] for k, v in enumerate(obj)], dtype=np.int32)
+        """Object attribute values -> read-only ``intp`` vector of global ids."""
+        return self.encoder.encode(obj)
 
     def compare(self, frontier: np.ndarray, x: np.ndarray) -> DominanceMasks:
         """Compare encoded object ``x`` (``K``), or each row of ``x``
-        (``c x K``), against ``frontier`` (``m x K`` int)."""
-        idx = np.add(frontier.T, (self._base + x * self._n)[..., None], order="C")
-        code = np.bitwise_and.reduce(self._table[idx], axis=-2)
+        (``c x K``), against ``frontier`` (``m x K`` global ids)."""
+        if x is not self._x:
+            enc = self.encoder
+            self._row = self._table[enc.row_index(x)]
+            self._x = x if x is enc._x else None
+        if x.ndim == 1:
+            code = np.bitwise_and.reduce(self._row[frontier.T], axis=0)
+        else:
+            code = np.bitwise_and.reduce(self._row[:, frontier.T], axis=1)
         return DominanceMasks(code, code.size)
 
     def dominates(self, a: ObjectValues, b: ObjectValues) -> bool:
@@ -132,7 +211,7 @@ def brute_force_frontier(
     its own row is identical to it, so it never counts as dominating.
     """
     ids = list(objects)
-    mat = np.array([profile.encode(objects[o]) for o in ids], dtype=np.int32)
+    mat = np.array([profile.encode(objects[o]) for o in ids], dtype=np.intp)
     mat = mat.reshape(len(ids), profile.n_attrs)
     return {o for o, x in zip(ids, mat) if not profile.compare(mat, x).dominated_by.any()}
 

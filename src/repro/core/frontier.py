@@ -7,17 +7,18 @@ object is compared to every current frontier member (counted as work),
 dominated members are evicted, and the object joins the frontier unless it
 is dominated. Identical objects are both Pareto-optimal (Defs. 2-3).
 
-A frontier stores its members once: ``ids`` plus one ``int32`` matrix whose
-row ``i`` is the encoding of ``ids[i]``. Every update binds a new matrix
-and never writes into the old one, so an array taken from :meth:`matrix`
-(or a row of it) stays valid while the frontier changes: an append or a
-discard is one ``np.concatenate`` into a new array, an eviction one boolean
-index. A frontier is not pickled as such: an engine's state keeps each
-object's row once and every frontier as indices into them
-(``core/sliding.py``), so only the rows in use reach the state. Appending
-into spare rows, about 6% faster on the append-only benchmark when it was
-tried, was turned down because it doubled the pickled state; with that
-layout it would not.
+A frontier stores its members once: ``ids`` plus one contiguous ``(K, m)``
+``intp`` array of global value ids (``core/dominance.py``), attribute-major,
+whose column ``i`` encodes ``ids[i]``; :meth:`matrix` is its ``(m, K)``
+view, whose transpose the kernel gathers with. Every update binds a new
+array, read-only, and never writes into the old one, so an array taken
+from :meth:`matrix` (or a row of it) stays valid while the frontier
+changes, and a profile may key its cached code row by such a row: an
+append is one ``np.concatenate`` on axis 1, a discard one of the slices on
+either side of the row, an eviction one boolean index. A frontier is not
+pickled as such: an engine's state keeps each object's row once, as local
+``int32`` value ids, and every frontier as indices into them
+(``core/sliding.py``), so only the rows in use reach the state.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.core.dominance import Profile
+from repro.core.dominance import ROW_WINS, X_WINS, Profile
 
 ObjectId = Hashable
 
@@ -40,15 +41,21 @@ class InsertResult:
 
 
 class Frontier:
-    """Ids + encoded matrix of the current Pareto-optimal objects."""
+    """Ids + encoded rows of the current Pareto-optimal objects."""
 
     def __init__(self, profile: Profile):
         self.profile = profile
         self.ids: list[ObjectId] = []
-        self._matrix = np.zeros((0, profile.n_attrs), dtype=np.int32)
+        self._set_rows(np.zeros((profile.n_attrs, 0), dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def _set_rows(self, rows: np.ndarray) -> None:
+        """Bind ``rows`` (``K x m``, contiguous), read-only from now on."""
+        rows.setflags(write=False)
+        self._rows = rows
+        self._matrix = rows.T
 
     def matrix(self) -> np.ndarray:
         return self._matrix
@@ -56,31 +63,31 @@ class Frontier:
     def insert(self, oid: ObjectId, x: np.ndarray) -> InsertResult:
         """Compare-and-update per Alg. 1; returns eviction list and work."""
         masks = self.profile.compare(self.matrix(), x)
-        if np.count_nonzero(masks.dominated_by):
+        code = masks.code.tobytes()
+        if ROW_WINS in code:
             return InsertResult(False, [], masks.n_compared)
-        removed = self._evict(masks.dominates)
+        removed = self._evict(masks.code) if X_WINS in code else []
         self.add_unchecked(oid, x)
         return InsertResult(True, removed, masks.n_compared)
 
-    def _evict(self, mask: np.ndarray) -> list[ObjectId]:
-        """Drop the rows ``mask`` marks; the rest keep their order."""
-        if not np.count_nonzero(mask):
-            return []
-        keep = ~mask
+    def _evict(self, code: np.ndarray) -> list[ObjectId]:
+        """Drop the rows that ``x`` dominates (``code`` ``X_WINS``); the
+        rest keep their order."""
+        keep = code != X_WINS
         flags = keep.tolist()
         removed = [oid for oid, k in zip(self.ids, flags) if not k]
         self.ids = list(compress(self.ids, flags))
-        self._matrix = self._matrix[keep]
+        self._set_rows(self._rows[:, keep])
         return removed
 
     def dominated_by_frontier(self, x: np.ndarray) -> tuple[bool, int]:
         """Read-only check used by the mend paths of the SW engines."""
         masks = self.profile.compare(self.matrix(), x)
-        return bool(np.count_nonzero(masks.dominated_by)), masks.n_compared
+        return ROW_WINS in masks.code.tobytes(), masks.n_compared
 
     def add_unchecked(self, oid: ObjectId, x: np.ndarray) -> None:
         self.ids.append(oid)
-        self._matrix = np.concatenate((self._matrix, x[None]))
+        self._set_rows(np.concatenate((self._rows, x[:, None]), axis=1))
 
     def discard(self, oid: ObjectId) -> bool:
         """Remove ``oid`` if present (no comparisons — id lookup only)."""
@@ -89,5 +96,6 @@ class Frontier:
         except ValueError:
             return False
         del self.ids[i]
-        self._matrix = np.concatenate((self._matrix[:i], self._matrix[i + 1:]))
+        rows = self._rows
+        self._set_rows(np.concatenate((rows[:, :i], rows[:, i + 1:]), axis=1))
         return True

@@ -54,11 +54,12 @@ promotions of that step. It is emptied in place at the start of every
 
 Pickling an engine keeps its state only: the arrival count, the window,
 the comparison counter, the last step's pairs, and every object that some
-frontier or buffer holds, once, as an id plus one ``int32`` row. Each
-frontier and buffer is an array of indices into that table, in row order.
-Profiles, clusters and the encoder are configuration, rebuilt from the
-engine's inputs, and are never pickled. ``pickle.loads`` gives an engine
-whose ``t``, ``counter`` and ``disseminated`` can be read as they are;
+frontier or buffer holds, once, as an id plus one ``int32`` row of local
+value ids (each attribute's ids count from 0, whatever global ids the
+shared encoder gives them in memory). Each frontier and buffer is an
+array of indices into that table, in row order. Profiles, clusters and
+the encoder are configuration, rebuilt from the engine's inputs, and are
+never pickled. ``pickle.loads`` gives an engine whose ``t``, ``counter`` and ``disseminated`` can be read as they are;
 :meth:`_Engine.attach` gives it the profiles of a fresh engine built from
 the same configuration, which a digest of that configuration checks.
 """
@@ -71,7 +72,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.core.common import Cluster, UserPrefs
-from repro.core.dominance import ComparisonCounter, ObjectValues, Profile
+from repro.core.dominance import X_WINS, ComparisonCounter, Encoder, ObjectValues, Profile
 from repro.core.frontier import Frontier
 
 UserId = Hashable
@@ -90,7 +91,8 @@ class _Buffer(Frontier):
         (they precede it, so by Thm. 5 they are done), then append it.
         Returns the number of comparisons performed."""
         masks = self.profile.compare(self.matrix(), x)
-        self._evict(masks.dominates)
+        if X_WINS in masks.code.tobytes():
+            self._evict(masks.code)
         self.add_unchecked(oid, x)
         return masks.n_compared
 
@@ -101,13 +103,18 @@ class _Buffer(Frontier):
         return [(self.ids[i], rows[i]) for i in np.flatnonzero(masks.dominates)]
 
 
-def _pack(stores: list[Frontier]) -> tuple:
+def _pack(stores: list[Frontier], col: np.ndarray | None) -> tuple:
     """The objects ``stores`` hold, each once: ``(ids, rows, index,
     lengths)``, where store ``k`` is ``index[sum(lengths[:k]):][:lengths[k]]``
-    into ``ids``/``rows``. ``index`` and ``lengths`` take the narrowest
-    unsigned dtype that fits."""
+    into ``ids``/``rows``. ``rows`` holds local ``int32`` value ids (global
+    id minus the attribute's ``col``); ``index`` and ``lengths`` take the
+    narrowest unsigned dtype that fits."""
     ids = [oid for fr in stores for oid in fr.ids]
-    rows = np.concatenate([fr._matrix for fr in stores] or [np.zeros((0, 0), np.int32)])
+    if stores:
+        rows = (np.concatenate([fr._rows for fr in stores], axis=1) - col[:, None]).T
+        rows = rows.astype(np.int32, order="C")
+    else:
+        rows = np.zeros((0, 0), np.int32)
     slot: dict = {}
     index = np.array([slot.setdefault(oid, len(slot)) for oid in ids], dtype=np.intp)
     first = np.unique(index, return_index=True)[1]
@@ -135,8 +142,9 @@ class _Engine:
 
     def __init__(self, frontiers: Mapping[Hashable, Frontier], window: int | None):
         self.window = window
-        # All profiles share `domains`, so dictionary encodings coincide:
-        # encode each object once and reuse the vector everywhere.
+        # All profiles share one encoder: encode each object once, through
+        # the first profile, and pass the read-only vector to every profile,
+        # so they share its code-row indices.
         self._encoder = next((fr.profile for fr in frontiers.values()), None)
         self._history: deque[ObjectId] = deque()
         self.t = 0
@@ -157,7 +165,7 @@ class _Engine:
         if self._digest is None:
             enc = self._encoder
             head = (type(self).__name__, self.window, self._layout(),
-                    enc and enc.attrs, enc and [list(idx) for idx in enc._index])
+                    enc and enc.attrs, enc and [list(idx) for idx in enc.encoder.index])
             h = hashlib.blake2b(repr(head).encode(), digest_size=16)
             for p in dict.fromkeys(fr.profile for _, _, fr in self._stores()):
                 h.update(p._table)
@@ -165,7 +173,8 @@ class _Engine:
         return self._digest
 
     def __getstate__(self) -> dict:
-        packed = self._packed or _pack([fr for _, _, fr in self._stores()])
+        packed = self._packed or _pack([fr for _, _, fr in self._stores()],
+                                       self._encoder and self._encoder.encoder.col)
         # The pairs go in a fixed order: a set's order depends on its history.
         return {"window": self.window, "t": self.t, "_history": self._history,
                 "counter": self.counter, "disseminated": sorted(self.disseminated, key=repr),
@@ -188,10 +197,12 @@ class _Engine:
         ids, rows, index, lengths = self._packed
         stores = {name: {} for name in self._STORES}
         parts = np.split(index, np.cumsum(lengths)[:-1])
+        if config._encoder is not None:  # local int32 -> global intp ids
+            rows = rows + config._encoder.encoder.col
         for (name, key, fr), part in zip(config._stores(), parts):
             store = stores[name][key] = type(fr)(fr.profile)
             store.ids = [ids[i] for i in part.tolist()]
-            store._matrix = rows[part]
+            store._set_rows(np.ascontiguousarray(rows[part].T))
         self.__dict__.update(stores)
         for name, value in vars(config).items():  # configuration: shared
             self.__dict__.setdefault(name, value)
@@ -241,8 +252,9 @@ class BaselineSWEngine(_Engine):
         domains: Mapping[str, Sequence],
         window: int | None = None,
     ):
+        enc = Encoder(attrs, domains)
         self.frontiers = {
-            c: Frontier(Profile(attrs, p, domains)) for c, p in prefs_by_user.items()
+            c: Frontier(Profile(attrs, p, domains, enc)) for c, p in prefs_by_user.items()
         }
         self.buffers = (
             {} if window is None
@@ -307,8 +319,9 @@ class FTVSWEngine(_Engine):
                 if c in seen:
                     raise ValueError(f"user {c!r} appears in more than one cluster")
                 seen.add(c)
+        enc = Encoder(attrs, domains)
         self.cluster_frontiers = {
-            cl.cluster_id: Frontier(Profile(attrs, cl.relation, domains))
+            cl.cluster_id: Frontier(Profile(attrs, cl.relation, domains, enc))
             for cl in self.clusters
         }
         self.cluster_buffers = (
@@ -317,7 +330,7 @@ class FTVSWEngine(_Engine):
         )
         # Cluster- and user-level frontiers hold the very same int vectors.
         self.user_frontiers = {
-            c: Frontier(Profile(attrs, prefs_by_user[c], domains))
+            c: Frontier(Profile(attrs, prefs_by_user[c], domains, enc))
             for cl in self.clusters
             for c in cl.members
         }

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.dominance import (
     ComparisonCounter,
+    Encoder,
     Profile,
     brute_force_frontier,
     dominates_by_closure,
@@ -120,6 +121,70 @@ def test_compare_2d_equals_1d_row_by_row(case, data):
         one = profile.compare(frontier, X[i])
         for mask in ("dominated_by", "dominates", "identical"):
             assert getattr(m, mask)[i].tolist() == getattr(one, mask).tolist(), (i, mask)
+
+
+def _spo_over(data, dom):
+    """A random strict partial order over ``dom``: DAG edges along a
+    random ranking of its values."""
+    rank = data.draw(st.permutations(dom))
+    pairs = [(rank[i], rank[j]) for i in range(len(rank)) for j in range(i + 1, len(rank))
+             if data.draw(st.booleans())]
+    return Poset(pairs, domain=dom)
+
+
+@given(profile_rows_and_object(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_code_rows_equal_closure(case, data):
+    """Two profiles share one encoder and answer from cached code rows:
+    objects repeat and alternate across the profiles, an equal-valued
+    distinct array stands in for an object, and ``x`` is 1-D or
+    ``(c, K)``; every answer equals the closure check. A writeable ``x``,
+    or a read-only view of writeable memory, changed in place between two
+    compares is answered for its new values."""
+    attrs, prefs, domains, rows, x = case
+    enc = Encoder(attrs, domains)
+    other = {d: _spo_over(data, domains[d]) for d in attrs}
+    profiles = [(Profile(attrs, prefs, domains, enc), prefs),
+                (Profile(attrs, other, domains, enc), other)]
+    frontier = np.array([enc.encode(r) for r in rows], dtype=np.intp)
+    frontier = frontier.reshape(len(rows), len(attrs))
+    value = st.tuples(*(st.sampled_from(domains[d]) for d in attrs))
+    objs = data.draw(st.lists(st.one_of(st.sampled_from(rows + [x]), value),
+                              min_size=2, max_size=6))
+    encoded = [enc.encode(o) for o in objs]
+
+    def check(k, x_arr, x_objs):
+        """Profile ``k`` on ``x_arr``, whose rows hold ``x_objs``."""
+        profile, p = profiles[k]
+        code = profile.compare(frontier, x_arr).code.reshape(len(x_objs), len(rows))
+        for obj, c in zip(x_objs, code):
+            assert (c == 1).tolist() == [dominates_by_closure(attrs, p, r, obj) for r in rows]
+            assert (c == 2).tolist() == [dominates_by_closure(attrs, p, obj, r) for r in rows]
+
+    order = data.draw(st.lists(st.sampled_from(range(len(objs))), min_size=1, max_size=8))
+    for i in order:
+        for k in (0, 0, 1, 0):  # the same object twice, then across profiles
+            check(k, encoded[i], objs[i:i + 1])
+        check(1, enc.encode(objs[i]), objs[i:i + 1])  # equal values, another array
+    frozen = np.array(encoded)
+    frozen.setflags(write=False)
+    for k in (0, 0, 1, 0):
+        check(k, frozen, objs)
+
+    w = np.array(encoded[0])
+    view = w[:]
+    view.setflags(write=False)
+    matrix = np.array(encoded)
+    for k in (0, 1):
+        for arr in (w, view):
+            check(k, arr, objs[:1])
+            w[:] = encoded[1]
+            check(k, arr, objs[1:2])
+            w[:] = encoded[0]
+        check(k, matrix, objs)
+        matrix[:] = matrix[::-1].copy()
+        check(k, matrix, objs[::-1])
+        matrix[:] = matrix[::-1].copy()
 
 
 class TestProfileBasics:

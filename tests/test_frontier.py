@@ -73,13 +73,13 @@ class TestMaintenance:
     @staticmethod
     def _step(profile, objs, fr, update, *args):
         """Run one update; the matrix taken before it must be unchanged and
-        the new one an ``int32`` (len(ids), K) matrix whose rows encode ids."""
+        the new one an ``intp`` (len(ids), K) matrix whose rows encode ids."""
         before = fr.matrix()
         kept = before.copy()
         update(*args)
         assert np.array_equal(before, kept)
         m = fr.matrix()
-        assert m.dtype == np.int32 and m.shape == (len(fr.ids), profile.n_attrs)
+        assert m.dtype == np.intp and m.shape == (len(fr.ids), profile.n_attrs)
         assert m.tolist() == [enc(profile, objs[o]).tolist() for o in fr.ids]
 
     def test_matrix_rows_follow_ids(self, profile, frontier):
@@ -145,4 +145,4 @@ class TestMaintenance:
         assert frontier.matrix().shape == (0, 2)
         frontier.insert("o1", enc(profile, ("a", "a")))
         assert frontier.matrix().shape == (1, 2)
-        assert frontier.matrix().dtype == np.int32
+        assert frontier.matrix().dtype == np.intp

@@ -402,6 +402,36 @@ def test_round_trip_keeps_replayed_ids_apart(window):
         assert rows(restored) == rows(eng), oid
 
 
+@pytest.mark.parametrize("kind", ["baseline", "ftv"])
+def test_state_rows_are_local_int32_value_ids(kind):
+    """A stored row holds each value's position in its attribute's domain,
+    as ``int32``, whatever ids the engine uses in memory; the configuration
+    digest does not cover that encoding, so this pins what a saved state
+    means. A state so stored attaches and goes on pair for pair."""
+    attrs, domains, users, stream = _random_setup(1)
+
+    def make():
+        if kind == "baseline":
+            return BaselineSWEngine(attrs, users, domains, window=9)
+        members = sorted(users)
+        clusters = make_exact_clusters([members[:2], members[2:]], users, attrs)
+        return FTVSWEngine(attrs, clusters, users, domains, window=9)
+
+    values = dict(stream)
+    eng, ref = make(), make()
+    for t, (oid, obj) in enumerate(stream, start=1):
+        assert eng.insert(oid, obj) == ref.insert(oid, obj), oid
+        assert (eng.disseminated, eng.counter) == (ref.disseminated, ref.counter), oid
+        if t % 7:
+            continue
+        eng = pickle.loads(pickle.dumps(eng))
+        ids, rows, _, _ = eng._packed
+        assert rows.dtype == np.int32
+        assert rows.tolist() == [[domains[d].index(v) for d, v in zip(attrs, values[o])]
+                                 for o in ids]
+        eng.attach(make())
+
+
 @pytest.mark.parametrize("kind", ["baseline", "approx"])
 def test_pickled_engine_holds_no_configuration(counted_movie, kind):
     """The state names no profile, relation or cluster class: those are
