@@ -25,8 +25,9 @@ profile gathers its own codes at those indices, so its row ``R`` holds
 with a whole frontier ``F`` of global ids is ``R[F.T]`` and one AND over
 the attributes: two numpy calls. Frontiers keep their rows
 attribute-major, so ``F.T`` is contiguous and the AND runs over whole
-rows. ``x`` may also be a ``(c, K)`` matrix of objects, which gives
-``(c, m)`` codes from ``R[:, F.T]``.
+rows. ``x`` may also be a ``(c, K)`` matrix of objects: its ``(c, m)``
+codes are gathered straight from the table at ``_off[F.T] + x_d · n_d``,
+with no code row, since such a matrix is built afresh for one call.
 
 The encoder keeps the indices of the last object it saw and each profile
 its last row, both keyed by the identity of that object. Only a
@@ -115,14 +116,10 @@ class Encoder:
         return x
 
     def row_index(self, x: np.ndarray) -> np.ndarray:
-        """Table indices of the code row of ``x`` (``K``), ``(Σ n_d,)``; or of
-        each row of ``x`` (``c x K``), ``(c, Σ n_d)``."""
+        """Table indices of the code row of ``x`` (``K``), ``(Σ n_d,)``."""
         if x is self._x:
             return self._idx
-        if x.ndim == 1:
-            idx = self._off + x[self._attr] * self._stride
-        else:
-            idx = self._off + x[:, self._attr] * self._stride
+        idx = self._off + x[self._attr] * self._stride
         if _frozen(x):
             self._x, self._idx = x, idx
         return idx
@@ -168,14 +165,15 @@ class Profile:
     def compare(self, frontier: np.ndarray, x: np.ndarray) -> DominanceMasks:
         """Compare encoded object ``x`` (``K``), or each row of ``x``
         (``c x K``), against ``frontier`` (``m x K`` global ids)."""
-        if x is not self._x:
-            enc = self.encoder
-            self._row = self._table[enc.row_index(x)]
-            self._x = x if x is enc._x else None
-        if x.ndim == 1:
-            code = np.bitwise_and.reduce(self._row[frontier.T], axis=0)
+        enc = self.encoder
+        if x.ndim == 2:
+            idx = enc._off[frontier.T] + (x * enc.n)[:, :, None]
+            code = np.bitwise_and.reduce(self._table[idx], axis=1)
         else:
-            code = np.bitwise_and.reduce(self._row[:, frontier.T], axis=1)
+            if x is not self._x:
+                self._row = self._table[enc.row_index(x)]
+                self._x = x if x is enc._x else None
+            code = np.bitwise_and.reduce(self._row[frontier.T], axis=0)
         return DominanceMasks(code, code.size)
 
     def dominates(self, a: ObjectValues, b: ObjectValues) -> bool:

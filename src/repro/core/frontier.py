@@ -15,10 +15,11 @@ array, read-only, and never writes into the old one, so an array taken
 from :meth:`matrix` (or a row of it) stays valid while the frontier
 changes, and a profile may key its cached code row by such a row: an
 append is one ``np.concatenate`` on axis 1, a discard one of the slices on
-either side of the row, an eviction one boolean index. A frontier is not
-pickled as such: an engine's state keeps each object's row once, as local
-``int32`` value ids, and every frontier as indices into them
-(``core/sliding.py``), so only the rows in use reach the state.
+either side of the row, an eviction one ``compress`` on axis 1 (a boolean
+index there gives a column-major array, which later concatenates keep).
+A frontier is not pickled as such: an engine's state keeps each object's
+row once, as local ``int32`` value ids, and every frontier as indices into
+them (``core/sliding.py``), so only the rows in use reach the state.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ class Frontier:
         flags = keep.tolist()
         removed = [oid for oid, k in zip(self.ids, flags) if not k]
         self.ids = list(compress(self.ids, flags))
-        self._set_rows(self._rows[:, keep])
+        self._set_rows(self._rows.compress(keep, axis=1))
         return removed
 
     def dominated_by_frontier(self, x: np.ndarray) -> tuple[bool, int]:

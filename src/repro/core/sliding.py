@@ -30,13 +30,15 @@ dominated by a later arrival can never re-enter any frontier, so buffers
 shrink aggressively; BaselineSW keeps one buffer per user,
 FilterThenVerifySW a single buffer per cluster (Thm. 6).
 
-The window itself holds object ids only. Buffer rows are in arrival order
-and every older object has already expired, so ``o_out`` is either the
-first row of a buffer or absent from it. Absent from ``PB_U`` means absent
-from ``P_U`` and every ``P_c`` (``P_c ⊆ P_U ⊆ PB_U``, Thm. 6; per user,
-``P_c ⊆ PB_c``), and expiry skips that cluster or user. Otherwise its
-encoding ``x_out`` is read from the buffer row, and the buffer drops it
-only after the mend, whose buffer scan counts that row.
+Frontiers and buffers store each object under its key ``(step, id)``, so
+a replayed id is a new object; emission and the ``*_of`` accessors read
+the id out of the key. ``o_out`` is the object of step ``t - W``. Buffer
+rows are in arrival order and every older object has already expired, so
+``o_out`` is either the first row of a buffer or absent from it. Absent
+from ``PB_U`` means absent from ``P_U`` and every ``P_c`` (``P_c ⊆ P_U ⊆
+PB_U``, Thm. 6; per user, ``P_c ⊆ PB_c``), and expiry skips that cluster
+or user. Otherwise its encoding ``x_out`` is read from the buffer row, and
+the buffer drops it only after the mend, whose buffer scan counts that row.
 
 Expiry handling in FilterThenVerifySW extends the paper's pseudocode with
 a per-member mend pass over ``P_U`` (members whose ``P_c`` contained
@@ -52,21 +54,21 @@ pairs the latest ``insert`` emitted: those targets plus the mend
 promotions of that step. It is emptied in place at the start of every
 ``insert``, so a reference to it stays valid.
 
-Pickling an engine keeps its state only: the arrival count, the window,
-the comparison counter, the last step's pairs, and every object that some
-frontier or buffer holds, once, as an id plus one ``int32`` row of local
-value ids (each attribute's ids count from 0, whatever global ids the
-shared encoder gives them in memory). Each frontier and buffer is an
-array of indices into that table, in row order. Profiles, clusters and
-the encoder are configuration, rebuilt from the engine's inputs, and are
-never pickled. ``pickle.loads`` gives an engine whose ``t``, ``counter`` and ``disseminated`` can be read as they are;
+Pickling an engine keeps its state only: the arrival count, the
+comparison counter, the last step's pairs, and every object that some
+frontier or buffer holds, once, as its id, its arrival step and one
+``int32`` row of local value ids (each attribute's ids count from 0,
+whatever global ids the shared encoder gives them in memory). Each
+frontier and buffer is an array of indices into that table, in row order.
+Profiles, clusters and the encoder are configuration, rebuilt from the
+engine's inputs, and are never pickled. ``pickle.loads`` gives an engine
+whose ``t``, ``counter`` and ``disseminated`` can be read as they are;
 :meth:`_Engine.attach` gives it the profiles of a fresh engine built from
 the same configuration, which a digest of that configuration checks.
 """
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -77,6 +79,7 @@ from repro.core.frontier import Frontier
 
 UserId = Hashable
 ObjectId = Hashable
+Key = tuple[int, ObjectId]  #: a stored object: its arrival step and its id
 
 
 class _Buffer(Frontier):
@@ -86,7 +89,7 @@ class _Buffer(Frontier):
     arrival order.
     """
 
-    def refresh(self, oid: ObjectId, x: np.ndarray) -> int:
+    def refresh(self, oid: Key, x: np.ndarray) -> int:
         """``refreshParetoBufferSW``: drop members the newcomer dominates
         (they precede it, so by Thm. 5 they are done), then append it.
         Returns the number of comparisons performed."""
@@ -96,7 +99,7 @@ class _Buffer(Frontier):
         self.add_unchecked(oid, x)
         return masks.n_compared
 
-    def dominated_by(self, x_out: np.ndarray) -> list[tuple[ObjectId, np.ndarray]]:
+    def dominated_by(self, x_out: np.ndarray) -> list[tuple[Key, np.ndarray]]:
         """Members strictly dominated by the expiring object, oldest first."""
         rows = self.matrix()
         masks = self.profile.compare(rows, x_out)
@@ -104,29 +107,25 @@ class _Buffer(Frontier):
 
 
 def _pack(stores: list[Frontier], col: np.ndarray | None) -> tuple:
-    """The objects ``stores`` hold, each once: ``(ids, rows, index,
+    """The objects ``stores`` hold, each once: ``(ids, steps, rows, index,
     lengths)``, where store ``k`` is ``index[sum(lengths[:k]):][:lengths[k]]``
-    into ``ids``/``rows``. ``rows`` holds local ``int32`` value ids (global
-    id minus the attribute's ``col``); ``index`` and ``lengths`` take the
-    narrowest unsigned dtype that fits."""
-    ids = [oid for fr in stores for oid in fr.ids]
+    into ``ids``/``steps``/``rows``. ``rows`` holds local ``int32`` value ids
+    (global id minus the attribute's ``col``); ``steps``, ``index`` and
+    ``lengths`` take the narrowest unsigned dtype that fits."""
+    keys = [key for fr in stores for key in fr.ids]
     if stores:
         rows = (np.concatenate([fr._rows for fr in stores], axis=1) - col[:, None]).T
         rows = rows.astype(np.int32, order="C")
     else:
         rows = np.zeros((0, 0), np.int32)
     slot: dict = {}
-    index = np.array([slot.setdefault(oid, len(slot)) for oid in ids], dtype=np.intp)
+    index = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
     first = np.unique(index, return_index=True)[1]
-    if not np.array_equal(rows[first][index], rows):
-        # A replayed id came with other values: tell objects apart by row too.
-        slot = {}
-        keys = zip(ids, map(tuple, rows.tolist()))
-        index = np.array([slot.setdefault(k, len(slot)) for k in keys], dtype=np.intp)
-        first = np.unique(index, return_index=True)[1]
+    steps = np.array([step for step, _ in slot], dtype=np.int64)
     lengths = np.array([len(fr) for fr in stores])
     return (
-        [ids[i] for i in first.tolist()],
+        [oid for _, oid in slot],
+        steps.astype(np.min_scalar_type(steps.max(initial=0))),
         rows[first],
         index.astype(np.min_scalar_type(max(len(first) - 1, 0))),
         lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
@@ -145,8 +144,7 @@ class _Engine:
         # All profiles share one encoder: encode each object once, through
         # the first profile, and pass the read-only vector to every profile,
         # so they share its code-row indices.
-        self._encoder = next((fr.profile for fr in frontiers.values()), None)
-        self._history: deque[ObjectId] = deque()
+        self._profile = next((fr.profile for fr in frontiers.values()), None)
         self.t = 0
         self.counter = ComparisonCounter()
         self.disseminated: set[tuple[UserId, ObjectId]] = set()
@@ -163,9 +161,9 @@ class _Engine:
         encoding order and every profile's code table. It hashes values
         and ids by ``repr``, so it does not depend on ``PYTHONHASHSEED``."""
         if self._digest is None:
-            enc = self._encoder
+            prof = self._profile
             head = (type(self).__name__, self.window, self._layout(),
-                    enc and enc.attrs, enc and [list(idx) for idx in enc.encoder.index])
+                    prof and prof.attrs, prof and [list(idx) for idx in prof.encoder.index])
             h = hashlib.blake2b(repr(head).encode(), digest_size=16)
             for p in dict.fromkeys(fr.profile for _, _, fr in self._stores()):
                 h.update(p._table)
@@ -174,9 +172,9 @@ class _Engine:
 
     def __getstate__(self) -> dict:
         packed = self._packed or _pack([fr for _, _, fr in self._stores()],
-                                       self._encoder and self._encoder.encoder.col)
+                                       self._profile and self._profile.encoder.col)
         # The pairs go in a fixed order: a set's order depends on its history.
-        return {"window": self.window, "t": self.t, "_history": self._history,
+        return {"window": self.window, "t": self.t,
                 "counter": self.counter, "disseminated": sorted(self.disseminated, key=repr),
                 "_digest": self.config_digest(), "_packed": packed}
 
@@ -194,14 +192,15 @@ class _Engine:
             raise ValueError(
                 f"engine state digest mismatch: the state was saved under configuration "
                 f"{self._digest.hex()}, the engine to attach has {config.config_digest().hex()}")
-        ids, rows, index, lengths = self._packed
+        ids, steps, rows, index, lengths = self._packed
+        keys = list(zip(steps.tolist(), ids))
         stores = {name: {} for name in self._STORES}
         parts = np.split(index, np.cumsum(lengths)[:-1])
-        if config._encoder is not None:  # local int32 -> global intp ids
-            rows = rows + config._encoder.encoder.col
+        if config._profile is not None:  # local int32 -> global intp ids
+            rows = rows + config._profile.encoder.col
         for (name, key, fr), part in zip(config._stores(), parts):
             store = stores[name][key] = type(fr)(fr.profile)
-            store.ids = [ids[i] for i in part.tolist()]
+            store.ids = [keys[i] for i in part.tolist()]
             store._set_rows(np.ascontiguousarray(rows[part].T))
         self.__dict__.update(stores)
         for name, value in vars(config).items():  # configuration: shared
@@ -215,28 +214,26 @@ class _Engine:
                                "engine built from the same configuration first")
         self.disseminated.clear()
         self.t += 1
-        if self.window is not None:
-            if len(self._history) == self.window:
-                self._expire(self._history.popleft())
-            self._history.append(oid)
-        targets = self._arrive(oid, self._encoder.encode(obj))
+        if self.window is not None and self.t > self.window:
+            self._expire(self.t - self.window)
+        targets = self._arrive((self.t, oid), self._profile.encode(obj))
         self.disseminated.update((c, oid) for c in targets)
         return targets
 
-    def _mend(self, fr: Frontier, buf: _Buffer, x_out: np.ndarray, stage: str) -> list[ObjectId]:
+    def _mend(self, fr: Frontier, buf: _Buffer, x_out: np.ndarray, stage: str) -> list[Key]:
         """``mendParetoFrontierSW`` after ``o_out`` left ``fr``: buffer
         objects dominated by ``o_out`` join ``fr`` unless a member of it
-        dominates them. Returns the promoted ids; comparisons against
+        dominates them. Returns the promoted keys; comparisons against
         ``fr`` count under ``stage``."""
         candidates = buf.dominated_by(x_out)
         self.counter.add("buffer", len(buf))
         promoted = []
-        for cand_id, cand_x in candidates:
+        for cand, cand_x in candidates:
             dominated, n = fr.dominated_by_frontier(cand_x)
             self.counter.add(stage, n)
             if not dominated:
-                fr.add_unchecked(cand_id, cand_x)
-                promoted.append(cand_id)
+                fr.add_unchecked(cand, cand_x)
+                promoted.append(cand)
         return promoted
 
 
@@ -265,34 +262,35 @@ class BaselineSWEngine(_Engine):
     def _layout(self) -> list[UserId]:
         return list(self.frontiers)
 
-    def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
+    def _arrive(self, key: Key, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()
         for c, fr in self.frontiers.items():
-            res = fr.insert(oid, x)
+            res = fr.insert(key, x)
             self.counter.add("user", res.n_compared)
             if res.is_pareto:
                 targets.add(c)
             if self.window is not None:
-                self.counter.add("buffer", self.buffers[c].refresh(oid, x))
+                self.counter.add("buffer", self.buffers[c].refresh(key, x))
         return targets
 
-    def _expire(self, out_id: ObjectId) -> None:
+    def _expire(self, step: int) -> None:
         for c, fr in self.frontiers.items():
             buf = self.buffers[c]
-            if not buf.ids or buf.ids[0] != out_id:
+            if not buf.ids or buf.ids[0][0] != step:
                 continue  # o_out ∉ PB_c ⟹ o_out ∉ P_c
+            out = buf.ids[0]
             x_out = buf.matrix()[0]
-            if fr.discard(out_id):
+            if fr.discard(out):
                 # Objects exclusively dominated by o_out may now be Pareto.
                 promoted = self._mend(fr, buf, x_out, "user")
-                self.disseminated.update((c, oid) for oid in promoted)
-            buf.discard(out_id)
+                self.disseminated.update((c, oid) for _, oid in promoted)
+            buf.discard(out)
 
     def frontier_of(self, c: UserId) -> set[ObjectId]:
-        return set(self.frontiers[c].ids)
+        return {oid for _, oid in self.frontiers[c].ids}
 
     def buffer_of(self, c: UserId) -> set[ObjectId]:
-        return set(self.buffers[c].ids)
+        return {oid for _, oid in self.buffers[c].ids}
 
 
 class FTVSWEngine(_Engine):
@@ -339,11 +337,11 @@ class FTVSWEngine(_Engine):
     def _layout(self) -> list[tuple[Hashable, tuple[UserId, ...]]]:
         return [(cl.cluster_id, cl.members) for cl in self.clusters]
 
-    def _arrive(self, oid: ObjectId, x: np.ndarray) -> set[UserId]:
+    def _arrive(self, key: Key, x: np.ndarray) -> set[UserId]:
         targets: set[UserId] = set()
         for cl in self.clusters:
             cid = cl.cluster_id
-            res = self.cluster_frontiers[cid].insert(oid, x)
+            res = self.cluster_frontiers[cid].insert(key, x)
             self.counter.add("cluster", res.n_compared)
             if res.is_pareto:
                 for gone in res.removed:
@@ -352,24 +350,25 @@ class FTVSWEngine(_Engine):
                     for c in cl.members:
                         self.user_frontiers[c].discard(gone)
                 for c in cl.members:
-                    r = self.user_frontiers[c].insert(oid, x)
+                    r = self.user_frontiers[c].insert(key, x)
                     self.counter.add("user", r.n_compared)
                     if r.is_pareto:
                         targets.add(c)
             # else: a true negative for every member (Thm. 2)
             if self.window is not None:
-                self.counter.add("buffer", self.cluster_buffers[cid].refresh(oid, x))
+                self.counter.add("buffer", self.cluster_buffers[cid].refresh(key, x))
         return targets
 
-    def _expire(self, out_id: ObjectId) -> None:
+    def _expire(self, step: int) -> None:
         for cl in self.clusters:
             cid = cl.cluster_id
             buf = self.cluster_buffers[cid]
-            if not buf.ids or buf.ids[0] != out_id:
+            if not buf.ids or buf.ids[0][0] != step:
                 continue  # o_out ∉ PB_U ⟹ o_out ∉ P_U ⊇ P_c (Thm. 6)
+            out = buf.ids[0]
             x_out = buf.matrix()[0]
             fr_u = self.cluster_frontiers[cid]
-            if fr_u.discard(out_id):
+            if fr_u.discard(out):
                 # Cluster-level mend: buffer objects dominated only by
                 # o_out (w.r.t. ≻_U) may enter P_U.
                 self._mend(fr_u, buf, x_out, "cluster")
@@ -384,7 +383,7 @@ class FTVSWEngine(_Engine):
                 pu_matrix = fr_u.matrix()
                 for c in cl.members:
                     fr_c = self.user_frontiers[c]
-                    if not fr_c.discard(out_id):
+                    if not fr_c.discard(out):
                         continue
                     p = fr_c.profile
                     out_dom = p.compare(pu_matrix, x_out)
@@ -399,15 +398,15 @@ class FTVSWEngine(_Engine):
                     for i, beaten in zip(cands, np.count_nonzero(mm.dominated_by, axis=1)):
                         if not beaten:
                             fr_c.add_unchecked(pu_ids[i], pu_matrix[i])
-                            self.disseminated.add((c, pu_ids[i]))
+                            self.disseminated.add((c, pu_ids[i][1]))
             # else: o_out ∉ P_U ⟹ o_out ∉ any member frontier (P_c ⊆ P_U).
-            buf.discard(out_id)
+            buf.discard(out)
 
     def cluster_frontier_of(self, cid: Hashable) -> set[ObjectId]:
-        return set(self.cluster_frontiers[cid].ids)
+        return {oid for _, oid in self.cluster_frontiers[cid].ids}
 
     def cluster_buffer_of(self, cid: Hashable) -> set[ObjectId]:
-        return set(self.cluster_buffers[cid].ids)
+        return {oid for _, oid in self.cluster_buffers[cid].ids}
 
     def frontier_of(self, c: UserId) -> set[ObjectId]:
-        return set(self.user_frontiers[c].ids)
+        return {oid for _, oid in self.user_frontiers[c].ids}

@@ -82,6 +82,19 @@ class TestMaintenance:
         assert m.dtype == np.intp and m.shape == (len(fr.ids), profile.n_attrs)
         assert m.tolist() == [enc(profile, objs[o]).tolist() for o in fr.ids]
 
+    def test_rows_stay_contiguous(self, profile):
+        """An eviction that keeps several rows, and the appends and
+        discards after it, leave the attribute-major rows contiguous,
+        which is what the kernel gathers with."""
+        buffer = _Buffer(profile)
+        for oid, v in [("o1", ("a", "c")), ("o2", ("c", "a")), ("o3", ("c", "c")),
+                       ("o4", ("b", "b"))]:
+            buffer.refresh(oid, enc(profile, v))
+            assert buffer.matrix().T.flags.c_contiguous, oid
+        assert buffer.ids == ["o1", "o2", "o4"]  # o4 evicted o3 only
+        buffer.discard("o2")
+        assert buffer.matrix().T.flags.c_contiguous
+
     def test_matrix_rows_follow_ids(self, profile, frontier):
         """Row i of ``matrix()`` encodes ``ids[i]`` through evictions, a
         middle discard and buffer refreshes; arrays handed out before an

@@ -273,6 +273,43 @@ class TestRandomStreamInvariants:
             assert sw.frontier_of(c) == append.frontier_of(c)
 
 
+def _replayed_three_arrivals():
+    """One user, W = 2, ``X=lo, X=hi, Z=lo``: the second ``X`` evicts the
+    first, and when the first expires at step 3 the window is ``{X=hi,
+    Z=lo}``, whose frontier is ``{X}``."""
+    dom = ["lo", "hi"]
+    users = {"c0": {"d0": Poset([("hi", "lo")], domain=dom)}}
+    stream = [("X", ("lo",)), ("X", ("hi",)), ("Z", ("lo",))]
+    return ["d0"], {"d0": dom}, users, stream, 2
+
+
+def _replayed_random_stream():
+    attrs, domains, users, stream = _random_setup(0)
+    return attrs, domains, users, [(f"o{t % 5}", obj) for t, (_, obj) in enumerate(stream)], 9
+
+
+@pytest.mark.parametrize("case", [_replayed_three_arrivals, _replayed_random_stream],
+                         ids=["three-arrivals", "random"])
+@pytest.mark.parametrize("kind", ["baseline", "ftv"])
+def test_replayed_ids_follow_the_window(case, kind):
+    """Def. 9 when ids arrive again: the window is the objects of the last
+    ``W`` arrival steps, whatever their ids, so the brute force is keyed by
+    step and an expiry removes only the object of its own step."""
+    attrs, domains, users, stream, window = case()
+    if kind == "baseline":
+        eng = BaselineSWEngine(attrs, users, domains, window=window)
+    else:
+        clusters = make_exact_clusters([sorted(users)], users, attrs)
+        eng = FTVSWEngine(attrs, clusters, users, domains, window=window)
+    profiles = {c: Profile(attrs, p, domains) for c, p in users.items()}
+    for t, (oid, obj) in enumerate(stream, start=1):
+        eng.insert(oid, obj)
+        alive = {s: stream[s - 1][1] for s in range(max(1, t - window + 1), t + 1)}
+        for c in users:
+            steps = brute_force_frontier(profiles[c], alive)
+            assert eng.frontier_of(c) == {stream[s - 1][0] for s in steps}, (t, c)
+
+
 def test_state_stays_bounded_on_long_stream():
     """Windowed engine state is O(W), not O(stream length): the pickled
     engine after 3,000 arrivals is at most 1.2x its size after 1,000."""
@@ -425,7 +462,7 @@ def test_state_rows_are_local_int32_value_ids(kind):
         if t % 7:
             continue
         eng = pickle.loads(pickle.dumps(eng))
-        ids, rows, _, _ = eng._packed
+        ids, _, rows, _, _ = eng._packed
         assert rows.dtype == np.int32
         assert rows.tolist() == [[domains[d].index(v) for d, v in zip(attrs, values[o])]
                                  for o in ids]
