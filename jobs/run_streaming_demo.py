@@ -10,8 +10,10 @@
    dendrogram at --h to obtain the user clusters.
 4. Build approximate common preference relations per cluster (Alg. 3).
 5. Stream the object micro-batches through the Structured Streaming
-   dissemination query (applyInPandasWithState, one group per cluster,
-   all clusters in one state partition).
+   dissemination query (applyInPandasWithState, one engine over all
+   clusters in one group and one state row), and report the median
+   milliseconds of its micro-batches' trigger, addBatch, walCommit and
+   commitOffsets phases from the query progress.
 6. Report dissemination counts and the efficacy vs the exact result.
 
 Usage: spark-submit jobs/run_streaming_demo.py [--users N] [--stream N]
@@ -19,6 +21,7 @@ Usage: spark-submit jobs/run_streaming_demo.py [--users N] [--stream N]
 """
 import argparse
 import shutil
+import statistics
 import sys
 import tempfile
 
@@ -90,11 +93,15 @@ def run(spark, args) -> int:
             window=args.window,
             max_files_per_trigger=1,
         )
-        run_stream_to_completion(spark, writer)
+        progress = run_stream_to_completion(spark, writer)
         got = read_disseminations(spark, f"{workdir}/out").toPandas()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
+    phases = ("triggerExecution", "addBatch", "walCommit", "commitOffsets")
+    medians = [statistics.median(p["durationMs"].get(k, 0) for p in progress) for k in phases]
+    print(f"[demo] median ms over {len(progress)} micro-batches: "
+          + ", ".join(f"{k} {ms:.0f}" for k, ms in zip(phases, medians)))
     approx_pairs = {(r.user_id, r.obj_id) for r in got.itertuples(index=False)}
     exact_pairs = run_baseline(ds, window=args.window).disseminated
     e = efficacy(approx_pairs, exact_pairs)

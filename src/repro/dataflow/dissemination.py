@@ -1,15 +1,15 @@
-"""Per-cluster engine payloads for the streaming dissemination query.
+"""The engine payload of the streaming dissemination query.
 
-Each cluster (its virtual-user relation, its members and their
-preferences) is one group of the query with a state row of its own, and
-one task runs every group of a micro-batch. ``_cluster_payload`` pickles
-what a cluster's engine needs once, on the driver. Inside a Spark worker,
-``make_engine`` gives a cluster's group its first engine and ``attach``
-makes an engine unpickled from the state store runnable again. Both take
-the profiles from a fresh engine that each worker builds once per payload
-and keeps in a small cache keyed by the payload's digest (a reused worker
-serves the clusters of many queries); every engine of that payload shares
-those profiles. The query itself lives in ``repro.dataflow.streaming``.
+One engine runs every cluster of a query, so the query is one group with
+one state row, and one task runs it on each micro-batch. ``_payload``
+pickles what that engine needs (the clusters, their members'
+preferences, the attributes, domains and window) once, on the driver.
+Inside a Spark worker, ``make_engine`` gives the group its first engine
+and ``attach`` makes an engine unpickled from the state store runnable
+again. Both take the profiles from a fresh engine that each worker builds
+once per payload and keeps in a small cache keyed by the payload's digest
+(a reused worker serves many queries). The query itself lives in
+``repro.dataflow.streaming``.
 """
 from __future__ import annotations
 
@@ -26,20 +26,15 @@ from repro.core.sliding import FTVSWEngine
 OUTPUT_SCHEMA = "cluster_id string, user_id string, obj_id string, ts bigint"
 
 
-def _cluster_payload(
+def _payload(
     clusters: Sequence[Cluster],
     prefs_by_user: Mapping,
     attrs: Sequence[str],
     domains: Mapping,
     window: int | None,
-) -> dict[str, bytes]:
-    out = {}
-    for cl in clusters:
-        members = {c: prefs_by_user[c] for c in cl.members}
-        out[str(cl.cluster_id)] = pickle.dumps(
-            (len(clusters), cl, members, tuple(attrs), dict(domains), window)
-        )
-    return out
+) -> bytes:
+    members = {c: prefs_by_user[c] for cl in clusters for c in cl.members}
+    return pickle.dumps((list(clusters), members, tuple(attrs), dict(domains), window))
 
 
 _CACHE_SIZE = 64
@@ -49,21 +44,15 @@ _configured: OrderedDict[bytes, FTVSWEngine] = OrderedDict()
 
 
 def _configuration(payload: bytes) -> FTVSWEngine:
-    """The fresh single-cluster engine of ``payload``, built once per
-    worker while it stays among the most recently used.
-
-    The cache keeps ``_CACHE_SIZE`` engines, or as many as the payload's
-    query has clusters if that is more: one worker runs every cluster of
-    a query in turn on each micro-batch, and a smaller LRU would evict
-    each cluster just before its next use.
-    """
+    """The fresh engine of ``payload``, built once per worker while it
+    stays among the ``_CACHE_SIZE`` most recently used."""
     key = hashlib.blake2b(payload, digest_size=16).digest()
     if key in _configured:
         _configured.move_to_end(key)
     else:
-        n_clusters, cl, members, attrs, domains, window = pickle.loads(payload)
-        _configured[key] = FTVSWEngine(attrs, [cl], members, domains, window=window)
-        while len(_configured) > max(_CACHE_SIZE, n_clusters):
+        clusters, members, attrs, domains, window = pickle.loads(payload)
+        _configured[key] = FTVSWEngine(attrs, clusters, members, domains, window=window)
+        if len(_configured) > _CACHE_SIZE:
             _configured.popitem(last=False)
     return _configured[key]
 
@@ -76,7 +65,7 @@ def attach(engine: FTVSWEngine, payload: bytes) -> FTVSWEngine:
 
 
 def make_engine(payload: bytes) -> FTVSWEngine:
-    """A new single-cluster engine for the cluster ``payload`` describes."""
+    """A new engine for the clusters ``payload`` describes."""
     config = _configuration(payload)
     engine = pickle.loads(pickle.dumps(config))  # the empty state of a fresh engine
     engine.attach(config)

@@ -5,25 +5,23 @@ object stream and clustered user-preference partitions, windowed for
 sliding window semantics"):
 
 * a file source streams object micro-batches (JSON rows
-  ``{obj_id, ts, vals}``);
-* each object row is associated with every cluster
-  (``explode`` over the static cluster-id list — the stream-static
-  replication join);
-* ``groupBy(cluster_id).applyInPandasWithState`` runs one
-  FilterThenVerify(SW) engine per cluster, every cluster in one shuffle
-  partition, so one task and one Python worker serve a micro-batch. Its
-  state (window, counters and the rows of its frontiers and Pareto
-  buffers, each object once) is carried across micro-batches as pickled
-  bytes in the state store, so the query restarts from the checkpoint
-  with frontiers and buffers intact. Profiles are not in that state: each
-  worker re-attaches them from its per-payload cache
-  (``dissemination.attach``), and a state saved under another cluster
-  payload fails its digest check;
+  ``{obj_id, ts, vals}``), coalesced into one partition;
+* ``groupBy(<constant>).applyInPandasWithState`` runs one
+  FilterThenVerify(SW) engine over every cluster, so each object row
+  meets every cluster partition inside the engine, and one group, one
+  task and one Python worker serve a micro-batch with no exchange. Its
+  state (window, counters and the rows of every frontier and Pareto
+  buffer, each object once across clusters) is carried across
+  micro-batches as pickled bytes in the state store, so the query
+  restarts from the checkpoint with frontiers and buffers intact.
+  Profiles are not in that state: each worker re-attaches them from its
+  per-payload cache (``dissemination.attach``), and a state saved under
+  another payload fails its digest check;
 * count-based sliding-window semantics (Sec. VII) live inside the engine
   state — the window is over arrival order, exactly the paper's
   ``(in - W, in]`` protocol;
 * the append-mode sink writes disseminated (cluster, user, object, ts)
-  rows as parquet.
+  rows as parquet, each user's cluster read from a user → cluster map.
 
 ``run_stream_to_completion`` wraps the query with an ``availableNow``
 trigger for deterministic batch-replay tests and jobs.
@@ -43,7 +41,7 @@ from pyspark.sql.streaming.state import GroupStateTimeout
 from repro.core.common import Cluster
 from repro.dataflow.dissemination import (
     OUTPUT_SCHEMA,
-    _cluster_payload,
+    _payload,
     attach,
     drop_zip_importers,
     make_engine,
@@ -51,6 +49,9 @@ from repro.dataflow.dissemination import (
 
 INPUT_SCHEMA = "obj_id string, ts long, vals array<string>"
 STATE_SCHEMA = "engine binary"
+CHECKPOINT_FILE_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedCheckpointFileManager"
+)
 
 
 def write_stream_files(
@@ -90,31 +91,36 @@ def build_query(
 ):
     """Assemble (but do not await) the streaming dissemination query.
 
-    The query runs in a child session with the caller's runtime conf and
-    one shuffle partition; the caller's session is left as it was. Each
-    cluster is still a group with its own state row. The state store loads
-    and commits every shuffle partition on each micro-batch, and each
-    partition is a task with its own output file and Python worker round
-    trip. On a 4-vCPU host that is about 33 ms per partition per
-    micro-batch, while the engine work of a 30-object micro-batch over
-    five clusters sums to about 27 ms; running clusters in parallel pays
-    only once a micro-batch carries several times more engine work.
+    The query runs in a child session with the caller's runtime conf, one
+    shuffle partition and the filesystem-based checkpoint file manager;
+    the caller's session is left as it was. The default manager is
+    FileContext-based and checks each rename with ``getFileLinkStatus``,
+    which without the native Hadoop library runs ``readlink`` as a child
+    process of the JVM: 48 times per micro-batch, about 2 ms each, over
+    the offset, commit, source and sink logs and the state delta.
+
+    One engine serves every cluster in one group with one state row. On a
+    4-vCPU host the engine work of a 30-object micro-batch over five
+    clusters sums to about 27 ms, while running those clusters as groups
+    in five state partitions instead of one made a micro-batch 116-190 ms
+    slower.
     """
-    payloads = _cluster_payload(clusters, prefs_by_user, attrs, domains, window)
-    bc = spark.sparkContext.broadcast(payloads)
+    payload = _payload(clusters, prefs_by_user, attrs, domains, window)
+    bc = spark.sparkContext.broadcast(payload)
+    owner = {user: str(cl.cluster_id) for cl in clusters for user in cl.members}
     session = spark.newSession()
     for key, value in spark.conf.getAll.items():
         if spark.conf.isModifiable(key):
             session.conf.set(key, value)
     session.conf.set("spark.sql.shuffle.partitions", "1")
+    session.conf.set("spark.sql.streaming.checkpointFileManagerClass", CHECKPOINT_FILE_MANAGER)
 
     def process(key, pdf_iter, state):
         drop_zip_importers()  # before the next task's invalidate_caches
-        cid = str(key[0])
         if state.exists:
-            engine = attach(pickle.loads(state.get[0]), bc.value[cid])
+            engine = attach(pickle.loads(state.get[0]), bc.value)
         else:
-            engine = make_engine(bc.value[cid])
+            engine = make_engine(bc.value)
         rows = []
         batch = pd.concat(list(pdf_iter), ignore_index=True)
         batch = batch.sort_values("ts")
@@ -123,18 +129,17 @@ def build_query(
             engine.insert(r.obj_id, tuple(r.vals))
             # Targets plus the sliding-window mend promotions of this
             # arrival (C_o grows mid-lifetime, Alg. 4/5), stamped with it.
-            rows.extend((cid, str(user), str(oid), t) for user, oid in engine.disseminated)
+            rows.extend((owner[user], str(user), str(oid), t) for user, oid in engine.disseminated)
         state.update((pickle.dumps(engine),))
         yield pd.DataFrame(rows, columns=["cluster_id", "user_id", "obj_id", "ts"])
 
     reader = session.readStream.schema(INPUT_SCHEMA)
     if max_files_per_trigger:
         reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
-    objects = reader.json(input_dir)
-    replicated = objects.withColumn(
-        "cluster_id", F.explode(F.array(*[F.lit(str(c)) for c in payloads]))
-    )
-    out = replicated.groupBy("cluster_id").applyInPandasWithState(
+    # One input partition satisfies the state's one-partition distribution,
+    # so the planner adds no exchange.
+    objects = reader.json(input_dir).coalesce(1).withColumn("group", F.lit(0))
+    out = objects.groupBy("group").applyInPandasWithState(
         process,
         OUTPUT_SCHEMA,
         STATE_SCHEMA,
@@ -149,8 +154,9 @@ def build_query(
     )
 
 
-def run_stream_to_completion(spark: SparkSession, writer, timeout_s: int = 300) -> None:
-    """Start with an availableNow trigger and await all pending input."""
+def run_stream_to_completion(spark: SparkSession, writer, timeout_s: int = 300) -> list:
+    """Start with an availableNow trigger and await all pending input;
+    returns the query's ``recentProgress``, one entry per micro-batch."""
     q = writer.trigger(availableNow=True).start()
     try:
         if not q.awaitTermination(timeout_s):
@@ -158,6 +164,7 @@ def run_stream_to_completion(spark: SparkSession, writer, timeout_s: int = 300) 
     finally:
         if q.isActive:
             q.stop()
+    return q.recentProgress
 
 
 def read_disseminations(spark: SparkSession, output_dir: str) -> DataFrame:

@@ -1,5 +1,6 @@
 """Job entrypoints parse args and emit their tables (smoke scale)."""
 import json
+import re
 
 import pytest
 
@@ -94,3 +95,5 @@ def test_run_streaming_demo_run(spark, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "precision" in out
+    assert re.search(r"\[demo\] median ms over 2 micro-batches: triggerExecution \d+, "
+                     r"addBatch \d+, walCommit \d+, commitOffsets \d+\n", out)

@@ -510,13 +510,13 @@ _DIGEST_SCRIPT = """
 import hashlib
 from repro.core.common import make_exact_clusters
 from repro.core.sliding import FTVSWEngine
-from repro.dataflow.dissemination import _cluster_payload
+from repro.dataflow.dissemination import _payload
 from repro.datasets import movie
 ds = movie.generate(n_users=6, n_groups=2, n_stream=10)
 users = sorted(ds.users)
 clusters = make_exact_clusters([users[:3], users[3:]], ds.prefs, ds.attrs)
 eng = FTVSWEngine(ds.attrs, clusters, ds.prefs, ds.domains, window=25)
-payload = b"".join(_cluster_payload(clusters, ds.prefs, ds.attrs, ds.domains, 25).values())
+payload = _payload(clusters, ds.prefs, ds.attrs, ds.domains, 25)
 print(eng.config_digest().hex(), hashlib.sha256(payload).hexdigest())
 """
 

@@ -146,39 +146,39 @@ def test_worker_builds_profiles_once_per_payload(ds, clusters, monkeypatch):
     monkeypatch.setattr(dissemination, "_configured", type(dissemination._configured)())
     monkeypatch.setattr(dissemination, "FTVSWEngine",
                         lambda *a, **kw: built.append(a) or FTVSWEngine(*a, **kw))
-    payload = dissemination._cluster_payload(clusters, ds.prefs, ds.attrs, ds.domains, 25)
-    cid = str(clusters[0].cluster_id)
-    engines = [dissemination.make_engine(payload[cid]) for _ in range(2)]
+    payload = dissemination._payload(clusters, ds.prefs, ds.attrs, ds.domains, 25)
+    engines = [dissemination.make_engine(payload) for _ in range(2)]
     for oid, vals in ds.stream[:30]:
         engines[0].insert(oid, vals)
-    engines.append(dissemination.attach(pickle.loads(pickle.dumps(engines[0])), payload[cid]))
+    engines.append(dissemination.attach(pickle.loads(pickle.dumps(engines[0])), payload))
     assert len(built) == 1
     profiles = [[fr.profile for fr in e.user_frontiers.values()] for e in engines]
     assert all(p is q for other in profiles[1:] for p, q in zip(profiles[0], other))
-    assert engines[2].frontier_of(clusters[0].members[0]) == engines[0].frontier_of(
-        clusters[0].members[0])
-    again = dissemination._cluster_payload(clusters, ds.prefs, ds.attrs, ds.domains, 30)
-    dissemination.make_engine(again[cid])
+    for cl in clusters:
+        assert engines[2].frontier_of(cl.members[0]) == engines[0].frontier_of(cl.members[0])
+    dissemination.make_engine(
+        dissemination._payload(clusters, ds.prefs, ds.attrs, ds.domains, 30))
     assert len(built) == 2
 
 
 def test_query_clusters_never_evict_each_other(ds, monkeypatch):
-    """One worker runs every cluster of a query on each micro-batch, so
-    even with more clusters than ``_CACHE_SIZE`` each builds its engine once."""
+    """One engine serves every cluster of a query, so even with more
+    clusters than ``_CACHE_SIZE`` the worker builds it once."""
     built = []
     monkeypatch.setattr(dissemination, "_configured", type(dissemination._configured)())
     monkeypatch.setattr(dissemination, "FTVSWEngine",
                         lambda *a, **kw: built.append(a) or FTVSWEngine(*a, **kw))
     users = sorted(ds.users)
     n = dissemination._CACHE_SIZE + 6
-    singles = make_exact_clusters([[users[i % len(users)]] for i in range(n)], ds.prefs, ds.attrs)
-    payload = dissemination._cluster_payload(singles, ds.prefs, ds.attrs, ds.domains, 25)
-    engines = {cid: dissemination.make_engine(p) for cid, p in payload.items()}
+    prefs = {f"u{i}": ds.prefs[users[i % len(users)]] for i in range(n)}
+    singles = make_exact_clusters([[c] for c in prefs], prefs, ds.attrs)
+    payload = dissemination._payload(singles, prefs, ds.attrs, ds.domains, 25)
+    engine = dissemination.make_engine(payload)
     for _ in range(2):
-        for cid, p in payload.items():
-            engines[cid] = dissemination.attach(pickle.loads(pickle.dumps(engines[cid])), p)
-    per_cluster = Counter(cl.cluster_id for _, (cl,), *_ in built)
-    assert per_cluster == Counter(range(n))
+        engine = dissemination.attach(pickle.loads(pickle.dumps(engine)), payload)
+    assert len(built) == 1
+    _, clusters, *_ = built[0]
+    assert Counter(cl.cluster_id for cl in clusters) == Counter(range(n))
 
 
 def test_dropped_zip_importers_read_no_archive(tmp_path, monkeypatch):
@@ -225,3 +225,31 @@ def test_state_partitions_follow_the_clusters(spark, ds, tmp_path):
     state = os.listdir(tmp_path / "ckpt" / "state" / "0")
     assert len(set(state) - {"_metadata"}) == 1
     assert spark.conf.get("spark.sql.shuffle.partitions") == before
+
+
+def test_cluster_id_column_names_the_users_cluster(spark, ds, clusters, tmp_path):
+    """Every output row's ``cluster_id`` is the cluster that holds its user."""
+    run_once(spark, tmp_path, ds, clusters, 25)
+    got = read_disseminations(spark, str(tmp_path / "out")).toPandas()
+    owner = {str(c): str(cl.cluster_id) for cl in clusters for c in cl.members}
+    assert len(got) and all(owner[u] == cid for u, cid in zip(got.user_id, got.cluster_id))
+    assert got.cluster_id.nunique() == len(clusters) > 1
+
+
+def test_query_session_commits_through_the_filesystem_manager(spark, ds, tmp_path):
+    """The query's own session uses the filesystem-based checkpoint file
+    manager, the caller's session keeps its setting, and a query over
+    three clusters keeps a single state row."""
+    key = "spark.sql.streaming.checkpointFileManagerClass"
+    before = spark.conf.get(key, None)
+    users = sorted(ds.users)
+    three = make_exact_clusters([users[:3], users[3:6], users[6:]], ds.prefs, ds.attrs)
+    write_stream_files(ds.stream, str(tmp_path / "in"), files=2)
+    writer = _writer(spark, tmp_path, ds, three, 25)
+    assert writer._spark.conf.get(key) == (
+        "org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedCheckpointFileManager")
+    run_stream_to_completion(spark, writer)
+    assert spark.conf.get(key, None) == before
+    assert _stamped_pairs(spark, tmp_path) == driver_stamps(ds, three, 25)
+    state = spark.read.format("statestore").load(str(tmp_path / "ckpt")).collect()
+    assert len(state) == 1
