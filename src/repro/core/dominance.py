@@ -28,6 +28,13 @@ attribute-major, so ``F.T`` is contiguous and the AND runs over whole
 rows. ``x`` may also be a ``(c, K)`` matrix of objects: its ``(c, m)``
 codes are gathered straight from the table at ``_off[F.T] + x_d · n_d``,
 with no code row, since such a matrix is built afresh for one call.
+A :class:`ProfileStack` keeps several profiles' tables as rows of one
+``(H, table)`` array and compares for any of them at once: one object
+against a frontier under each chosen profile, or each of a matrix's rows
+under its own profile. It gathers each pair's code row from the stack,
+then the frontier's columns of those rows, and ANDs; the sliding-window
+member mend checks all holders of an expiring object, and then all their
+candidates, that way.
 
 The encoder keeps the indices of the last object it saw and each profile
 its last row, both keyed by the identity of that object. Only a
@@ -180,6 +187,35 @@ class Profile:
         """Scalar ``a ≻ b`` (Def. 2) — convenience for tests and oracles."""
         masks = self.compare(self.encode(b)[None, :], self.encode(a))
         return bool(masks.dominates[0])
+
+
+class ProfileStack:
+    """Profiles on one encoder, their code tables stacked ``(H, table)``.
+
+    Each profile's table becomes a row view of the stack, so no table is
+    held twice. :meth:`compare` answers for several of the profiles in
+    two gathers and one AND.
+    """
+
+    def __init__(self, profiles: Sequence[Profile]):
+        self.encoder = profiles[0].encoder
+        self.tables = np.empty((len(profiles), profiles[0]._table.size), dtype=np.uint8)
+        for p, row in zip(profiles, self.tables):
+            row[:] = p._table
+            p._table = row
+
+    def compare(self, which: np.ndarray, frontier: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """AND-reduced codes ``(len(which), m)``: row ``k`` is the code of
+        profile ``which[k]`` comparing ``x`` (``K``), or ``x[k]`` when ``x``
+        is ``(len(which), K)``, against ``frontier`` (``m x K``), as
+        :meth:`Profile.compare` gives it."""
+        enc = self.encoder
+        # Each object's code row under its profile (Σ n_d codes), then the
+        # frontier's columns of it: the only (len(which), K, m) array is
+        # of codes, not of table indices.
+        start = np.asarray(which, dtype=np.intp)[:, None] * self.tables.shape[1]
+        code_rows = self.tables.ravel().take(start + enc._off + x[..., enc._attr] * enc._stride)
+        return np.bitwise_and.reduce(code_rows[:, frontier.T], axis=1)
 
 
 def dominates_by_closure(

@@ -82,13 +82,19 @@ class Frontier:
         return removed
 
     def dominated_by_frontier(self, x: np.ndarray) -> tuple[bool, int]:
-        """Read-only check used by the mend paths of the SW engines."""
+        """Read-only check: whether a row dominates ``x``, and the work."""
         masks = self.profile.compare(self.matrix(), x)
         return ROW_WINS in masks.code.tobytes(), masks.n_compared
 
     def add_unchecked(self, oid: ObjectId, x: np.ndarray) -> None:
         self.ids.append(oid)
         self._set_rows(np.concatenate((self._rows, x[:, None]), axis=1))
+
+    def extend(self, oids: list[ObjectId], xs: np.ndarray) -> None:
+        """Append ``oids`` with their rows ``xs`` (``n x K``) unchecked, in
+        order: one copy for all of them."""
+        self.ids.extend(oids)
+        self._set_rows(np.concatenate((self._rows, xs.T), axis=1))
 
     def discard(self, oid: ObjectId) -> bool:
         """Remove ``oid`` if present (no comparisons — id lookup only)."""

@@ -46,6 +46,17 @@ a per-member mend pass over ``P_U`` (members whose ``P_c`` contained
 only under their own preferences, not under ``≻_U``) — without it ``P_c``
 drifts from the Def. 9 frontier; see DESIGN.md §4.
 
+Both mends run in a fixed number of numpy calls, not one per candidate,
+and count what the paper's one-candidate-at-a-time loop counts. The
+buffer mend (``_Engine._mend``, shared by both engines) compares the
+buffer with ``o_out`` once, then its candidates with the frontier and
+with each other, and promotes a candidate when neither dominates it; its
+count is a cumulative sum over the candidates. The member mend compares
+``o_out`` with ``P_U`` under every member that held it in one stacked
+call, and verifies every (member, candidate) pair of the cluster in a
+second, through the cluster's :class:`ProfileStack`, whose rows are the
+members' code tables.
+
 Dissemination accounting: ``C_o`` grows both at arrival time and when a
 mend promotes an object into some ``P_c`` mid-lifetime (the paper's
 ``mendParetoFrontierSW`` does ``C_o ← C_o ∪ {c}``). ``insert`` returns
@@ -74,7 +85,8 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.core.common import Cluster, UserPrefs
-from repro.core.dominance import X_WINS, ComparisonCounter, Encoder, ObjectValues, Profile
+from repro.core.dominance import (
+    ROW_WINS, X_WINS, ComparisonCounter, Encoder, ObjectValues, Profile, ProfileStack)
 from repro.core.frontier import Frontier
 
 UserId = Hashable
@@ -224,16 +236,29 @@ class _Engine:
         """``mendParetoFrontierSW`` after ``o_out`` left ``fr``: buffer
         objects dominated by ``o_out`` join ``fr`` unless a member of it
         dominates them. Returns the promoted keys; comparisons against
-        ``fr`` count under ``stage``."""
-        candidates = buf.dominated_by(x_out)
+        ``fr`` count under ``stage``.
+
+        The candidates are checked at once, against ``fr`` and against
+        each other, and candidate ``k`` is promoted exactly when nothing
+        of either dominates it. That is the sequential loop's answer: no
+        later candidate dominates ``k``, as both are in the buffer
+        (Def. 10), and an earlier one that was not promoted is dominated
+        by something that then dominates ``k`` too. The loop compares
+        ``k`` with ``fr`` and the candidates promoted before it, so the
+        count is ``|fr|`` per candidate plus a cumulative sum."""
+        p, rows = buf.profile, buf.matrix()  # fr has the same profile
         self.counter.add("buffer", len(buf))
-        promoted = []
-        for cand, cand_x in candidates:
-            dominated, n = fr.dominated_by_frontier(cand_x)
-            self.counter.add(stage, n)
-            if not dominated:
-                fr.add_unchecked(cand, cand_x)
-                promoted.append(cand)
+        cands = np.flatnonzero(p.compare(rows, x_out).code == X_WINS)
+        if not cands.size:
+            return []
+        xs = rows[cands]
+        beaten = (p.compare(fr.matrix(), xs).code == ROW_WINS).any(axis=1)
+        beaten |= (p.compare(xs, xs).code == ROW_WINS).any(axis=1)
+        won = ~beaten
+        self.counter.add(stage, cands.size * len(fr) + int((np.cumsum(won) - won).sum()))
+        promoted = [buf.ids[i] for i in cands[won].tolist()]
+        if promoted:
+            fr.extend(promoted, xs[won])
         return promoted
 
 
@@ -332,6 +357,9 @@ class FTVSWEngine(_Engine):
             for cl in self.clusters
             for c in cl.members
         }
+        # Each cluster's member tables, stacked for the member mend.
+        self._stacks = [ProfileStack([self.user_frontiers[c].profile for c in cl.members])
+                        for cl in self.clusters]
         super().__init__(self.cluster_frontiers, window)
 
     def _layout(self) -> list[tuple[Hashable, tuple[UserId, ...]]]:
@@ -360,7 +388,7 @@ class FTVSWEngine(_Engine):
         return targets
 
     def _expire(self, step: int) -> None:
-        for cl in self.clusters:
+        for cl, stack in zip(self.clusters, self._stacks):
             cid = cl.cluster_id
             buf = self.cluster_buffers[cid]
             if not buf.ids or buf.ids[0][0] != step:
@@ -372,35 +400,46 @@ class FTVSWEngine(_Engine):
                 # Cluster-level mend: buffer objects dominated only by
                 # o_out (w.r.t. ≻_U) may enter P_U.
                 self._mend(fr_u, buf, x_out, "cluster")
-                # Per-member mend (see module docstring): members whose
-                # P_c contained o_out re-check P_U members dominated by
-                # o_out under their own preferences. A candidate must be
-                # verified against *all* of P_U under ≻_c (Lemma 1), not
-                # just the current P_c — its c-dominator may itself be a
-                # not-yet-promoted candidate. P_U is fixed here, so the
-                # candidates are independent and are checked in one call.
-                pu_ids = list(fr_u.ids)
-                pu_matrix = fr_u.matrix()
-                for c in cl.members:
-                    fr_c = self.user_frontiers[c]
-                    if not fr_c.discard(out):
-                        continue
-                    p = fr_c.profile
-                    out_dom = p.compare(pu_matrix, x_out)
-                    self.counter.add("user", out_dom.n_compared)
-                    in_pc = set(fr_c.ids)
-                    cands = [i for i in np.flatnonzero(out_dom.dominates)
-                             if pu_ids[i] not in in_pc]
-                    if not cands:
-                        continue
-                    mm = p.compare(pu_matrix, pu_matrix[cands])
-                    self.counter.add("user", mm.n_compared)
-                    for i, beaten in zip(cands, np.count_nonzero(mm.dominated_by, axis=1)):
-                        if not beaten:
-                            fr_c.add_unchecked(pu_ids[i], pu_matrix[i])
-                            self.disseminated.add((c, pu_ids[i][1]))
+                self._mend_members(cl, stack, out, x_out)
             # else: o_out ∉ P_U ⟹ o_out ∉ any member frontier (P_c ⊆ P_U).
             buf.discard(out)
+
+    def _mend_members(self, cl: Cluster, stack: ProfileStack, out: Key,
+                      x_out: np.ndarray) -> None:
+        """Per-member mend (see module docstring): members whose ``P_c``
+        held ``o_out`` re-check the ``P_U`` members that ``o_out``
+        dominates under their own preferences. A candidate is verified
+        against *all* of ``P_U`` under ``≻_c`` (Lemma 1), not just the
+        current ``P_c``: its ``c``-dominator may itself be a candidate not
+        yet promoted. ``P_U`` is fixed here, so every (holder, candidate)
+        pair of the cluster is independent, and the holders' compares with
+        ``o_out`` and then all pairs' verifications are one stacked call
+        each. No row of ``P_c`` is a candidate: ``P_c`` held ``o_out`` and
+        no row of a frontier dominates another."""
+        frs = [self.user_frontiers[c] for c in cl.members]
+        holders = [h for h, fr in enumerate(frs) if out in fr.ids]
+        if not holders:
+            return
+        for h in holders:
+            frs[h].discard(out)
+        fr_u = self.cluster_frontiers[cl.cluster_id]
+        pu = fr_u.matrix()
+        out_dom = stack.compare(holders, pu, x_out)
+        self.counter.add("user", out_dom.size)
+        pair_h, pair_i = np.nonzero(out_dom == X_WINS)
+        if not pair_i.size:
+            return
+        verify = stack.compare(np.array(holders)[pair_h], pu, pu[pair_i])
+        self.counter.add("user", verify.size)
+        won = ~(verify == ROW_WINS).any(axis=1)
+        pair_h, pair_i = pair_h[won], pair_i[won]
+        # Pairs run holder by holder, each holder's in P_U order.
+        starts = np.flatnonzero(np.diff(pair_h, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [pair_h.size]):
+            h = holders[pair_h[a].item()]
+            keys = [fr_u.ids[i] for i in pair_i[a:b].tolist()]
+            frs[h].extend(keys, pu[pair_i[a:b]])
+            self.disseminated.update((cl.members[h], oid) for _, oid in keys)
 
     def cluster_frontier_of(self, cid: Hashable) -> set[ObjectId]:
         return {oid for _, oid in self.cluster_frontiers[cid].ids}

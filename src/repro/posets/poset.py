@@ -76,6 +76,17 @@ class Poset:
         for x, y in closed:
             if x == y:
                 raise ValueError(f"not a strict partial order: cycle through {x!r}")
+        self._bind(closed, domain)
+
+    @classmethod
+    def _closed(cls, pairs: frozenset[Pair], domain: Iterable[Value] | None) -> Poset:
+        """A poset of ``pairs`` that are already a strict partial order
+        (irreflexive and transitive), which is not closed or checked again."""
+        poset = cls.__new__(cls)
+        poset._bind(pairs, domain)
+        return poset
+
+    def _bind(self, closed: frozenset[Pair], domain: Iterable[Value] | None) -> None:
         self.pairs: frozenset[Pair] = closed
         mentioned = {v for p in closed for v in p}
         self.domain: frozenset[Value] = frozenset(domain) if domain is not None else frozenset(mentioned)
@@ -146,4 +157,5 @@ def common_relation(posets: Iterable[Poset]) -> Poset:
         raise ValueError("common_relation of an empty user set is undefined")
     pairs = frozenset.intersection(*(p.pairs for p in posets))
     domain = frozenset().union(*(p.domain for p in posets))
-    return Poset(pairs, domain=domain)
+    # An intersection of strict partial orders is one (Thm. 1): no closure.
+    return Poset._closed(pairs, domain)

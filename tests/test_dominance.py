@@ -8,6 +8,7 @@ from repro.core.dominance import (
     ComparisonCounter,
     Encoder,
     Profile,
+    ProfileStack,
     brute_force_frontier,
     dominates_by_closure,
 )
@@ -185,6 +186,38 @@ def test_cached_code_rows_equal_closure(case, data):
         matrix[:] = matrix[::-1].copy()
         check(k, matrix, objs[::-1])
         matrix[:] = matrix[::-1].copy()
+
+
+@given(profile_rows_and_object(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_profile_stack_rows_equal_profile_compare(case, data):
+    """Each row of a stacked compare is the code ``Profile.compare`` gives
+    for the profile it names: one object against the frontier under each
+    chosen profile (``(H, m)``), and each row of an object matrix under
+    its own profile (``(C, m)``, paired). Profiles repeat, the frontier
+    may be empty, and every profile's table is a view of the stack."""
+    attrs, prefs, domains, rows, x = case
+    enc = Encoder(attrs, domains)
+    relations = [prefs] + [{d: _spo_over(data, domains[d]) for d in attrs}
+                           for _ in range(data.draw(st.integers(0, 3)))]
+    profiles = [Profile(attrs, p, domains, enc) for p in relations]
+    stack = ProfileStack(profiles)
+    assert all(np.shares_memory(p._table, stack.tables) for p in profiles)
+    frontier = np.array([enc.encode(r) for r in rows], dtype=np.intp)
+    frontier = frontier.reshape(len(rows), len(attrs))
+    which = data.draw(st.lists(st.sampled_from(range(len(profiles))), max_size=6))
+    value = st.tuples(*(st.sampled_from(domains[d]) for d in attrs))
+    objs = [data.draw(st.one_of(st.sampled_from(rows + [x]), value)) for _ in which]
+    X = np.array([enc.encode(o) for o in objs], dtype=np.intp).reshape(len(objs), len(attrs))
+
+    codes = stack.compare(which, frontier, enc.encode(x))
+    assert codes.shape == (len(which), len(rows))
+    for k, h in enumerate(which):
+        assert codes[k].tolist() == profiles[h].compare(frontier, enc.encode(x)).code.tolist()
+    paired = stack.compare(which, frontier, X)
+    assert paired.shape == (len(which), len(rows))
+    for k, h in enumerate(which):
+        assert paired[k].tolist() == profiles[h].compare(frontier, X[k]).code.tolist()
 
 
 class TestProfileBasics:

@@ -158,6 +158,17 @@ class TestCommonRelation:
         u = common_relation([p1, p2])
         assert u.pairs <= p1.pairs and u.pairs <= p2.pairs
 
+    @given(st.lists(spo_strategy(), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_common_relation_equals_a_closed_poset(self, drawn):
+        """The intersection is kept as it is, not closed again (Thm. 1):
+        it equals the poset built, and closed, from the same pairs."""
+        posets = [Poset(pairs, domain=dom) for pairs, dom in drawn]
+        u = common_relation(posets)
+        assert u == Poset(u.pairs, domain=u.domain)
+        assert u.pairs == frozenset.intersection(*(p.pairs for p in posets))
+        assert u.hasse_edges == Poset(u.pairs, domain=u.domain).hasse_edges
+
     def test_empty_user_set_rejected(self):
         with pytest.raises(ValueError):
             common_relation([])

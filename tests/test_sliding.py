@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.common import cluster_common_relation, make_exact_clusters
-from repro.core.dominance import Profile, brute_force_frontier
+from repro.core.approx import approx_cluster_relation
+from repro.core.common import Cluster, cluster_common_relation, make_exact_clusters
+from repro.core.dominance import ROW_WINS, Profile, brute_force_frontier
 from repro.core.sliding import BaselineSWEngine, FTVSWEngine
 from repro.datasets import laptop, movie
 from repro.experiments.harness import build_dendrogram, clusters_for
@@ -308,6 +309,83 @@ def test_replayed_ids_follow_the_window(case, kind):
         for c in users:
             steps = brute_force_frontier(profiles[c], alive)
             assert eng.frontier_of(c) == {stream[s - 1][0] for s in steps}, (t, c)
+
+
+class _SequentialMend:
+    """The mends as one compare per candidate: the buffer mend checks each
+    candidate against the frontier as it grows, the member mend each
+    holder and candidate on its own. The engines' stacked mends must
+    match it pair for pair and count for count."""
+
+    def _mend(self, fr, buf, x_out, stage):
+        candidates = buf.dominated_by(x_out)
+        self.counter.add("buffer", len(buf))
+        promoted = []
+        for cand, cand_x in candidates:
+            dominated, n = fr.dominated_by_frontier(cand_x)
+            self.counter.add(stage, n)
+            if not dominated:
+                fr.add_unchecked(cand, cand_x)
+                promoted.append(cand)
+        return promoted
+
+    def _mend_members(self, cl, stack, out, x_out):
+        fr_u = self.cluster_frontiers[cl.cluster_id]
+        pu_ids, pu = list(fr_u.ids), fr_u.matrix()
+        for c in cl.members:
+            fr_c = self.user_frontiers[c]
+            if not fr_c.discard(out):
+                continue
+            out_dom = fr_c.profile.compare(pu, x_out)
+            self.counter.add("user", out_dom.n_compared)
+            in_pc = set(fr_c.ids)
+            for i in np.flatnonzero(out_dom.dominates):
+                if pu_ids[i] in in_pc:
+                    continue
+                masks = fr_c.profile.compare(pu, pu[i])
+                self.counter.add("user", masks.n_compared)
+                if ROW_WINS not in masks.code.tobytes():
+                    fr_c.add_unchecked(pu_ids[i], pu[i])
+                    self.disseminated.add((c, pu_ids[i][1]))
+
+
+class _SequentialBaselineSW(_SequentialMend, BaselineSWEngine):
+    pass
+
+
+class _SequentialFTVSW(_SequentialMend, FTVSWEngine):
+    pass
+
+
+@given(seed=st.integers(0, 2**16), window=st.sampled_from([1, 2, 3, 5, 40]),
+       stream=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 2)),
+                       min_size=1, max_size=60))
+@settings(max_examples=40, deadline=None)
+def test_stacked_mends_equal_the_sequential_mend(seed, window, stream):
+    """At every step the three windowed engines show the sequential mend's
+    pairs, stage counts and stores, row for row. Three values per
+    attribute make identical objects common, and six ids replay often."""
+    attrs, domains, users, _ = _random_setup(seed, n_users=5, n_attrs=2, dom_size=3)
+    dom = domains[attrs[0]]
+    partition = [["c0", "c1", "c2"], ["c3", "c4"]]
+    approx = [Cluster(i, tuple(m), approx_cluster_relation(m, users, attrs))
+              for i, m in enumerate(partition)]
+    exact = make_exact_clusters(partition, users, attrs)
+    pairs = [(BaselineSWEngine(attrs, users, domains, window=window),
+              _SequentialBaselineSW(attrs, users, domains, window=window))]
+    pairs += [(FTVSWEngine(attrs, cls, users, domains, window=window),
+               _SequentialFTVSW(attrs, cls, users, domains, window=window))
+              for cls in (exact, approx)]
+
+    def view(eng):
+        return (eng.disseminated, eng.counter.by_stage,
+                [(name, key, list(fr.ids)) for name, key, fr in eng._stores()])
+
+    for t, (i, a, b) in enumerate(stream, start=1):
+        for eng, ref in pairs:
+            obj = (dom[a], dom[b])
+            assert eng.insert(f"o{i}", obj) == ref.insert(f"o{i}", obj)
+            assert view(eng) == view(ref), (t, type(eng).__name__)
 
 
 def test_state_stays_bounded_on_long_stream():
