@@ -13,7 +13,7 @@ from itertools import cycle
 import numpy as np
 import pytest
 
-from repro.core.dominance import Profile, brute_force_frontier
+from repro.core.dominance import ROW_WINS, Profile, brute_force_frontier
 from repro.core.frontier import Frontier
 from repro.datasets import movie
 
@@ -38,7 +38,8 @@ def _setup(m):
     for oid in pareto[:m]:
         fr.add_unchecked(oid, profile.encode(objs[oid]))
     admitted = [objs[o] for o in pareto[m:]]
-    rejected = [v for v in objs.values() if fr.dominated_by_frontier(profile.encode(v))[0]]
+    rejected = [v for v in objs.values()
+                if ROW_WINS in profile.compare(fr.matrix(), profile.encode(v)).tobytes()]
     return profile, fr, admitted, rejected
 
 
@@ -63,5 +64,5 @@ def test_mend_compare(benchmark, m):
     profile, fr, _, _ = _setup(m)
     pu = fr.matrix()
     cands = np.linspace(0, m - 1, CANDIDATES).astype(np.intp)
-    masks = benchmark(lambda: profile.compare(pu, pu[cands]))
-    assert masks.code.shape == (CANDIDATES, m) and not masks.dominated_by.any()
+    code = benchmark(lambda: profile.compare(pu, pu[cands]))
+    assert code.shape == (CANDIDATES, m) and not (code == ROW_WINS).any()

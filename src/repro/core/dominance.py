@@ -36,19 +36,11 @@ then the frontier's columns of those rows, and ANDs; the sliding-window
 member mend checks all holders of an expiring object, and then all their
 candidates, that way.
 
-The encoder keeps the indices of the last object it saw and each profile
-its last row, both keyed by the identity of that object. Only a
-read-only ``x`` is kept (whose memory owner, if it has one, is read-only
-too), so an array that changes in place is never answered from a stale
-row; :meth:`Encoder.encode` returns read-only vectors, which the engines
-pass to every profile, so all profiles of one object share its indices
-and the cluster profile's ``P_U`` compare and buffer compare share its
-row.
-
-:meth:`Profile.compare` returns the code array; each mask is one compare
-against a code constant, made only when a caller reads it. Tests prove
-this kernel equivalent to both the raw transitive-closure check and the
-CPS-embedding comparison on random posets.
+:meth:`Profile.compare` returns the AND-reduced code array itself: its
+size is the number of pairs compared, and callers test it against
+``ROW_WINS``, ``X_WINS`` or ``EQUAL``. Tests prove this kernel equivalent
+to both the raw transitive-closure check and the CPS-embedding comparison
+on random posets.
 """
 from __future__ import annotations
 
@@ -64,31 +56,6 @@ ObjectValues = tuple[Value, ...]
 
 #: AND-reduced codes: a row beats x, x beats a row, the two are identical
 ROW_WINS, X_WINS, EQUAL = 1, 2, 3
-
-
-class DominanceMasks:
-    """Outcome of comparing an object (or each of ``c`` objects) against a
-    frontier matrix ``F``; masks are derived from ``code`` when read."""
-
-    __slots__ = ("code", "n_compared")
-
-    def __init__(self, code: np.ndarray, n_compared: int):
-        self.code = code  #: AND-reduced 2-bit codes, shape ``(m,)`` or ``(c, m)``
-        self.n_compared = n_compared  #: object pairs compared (the paper's work metric)
-
-    dominated_by = property(lambda self: self.code == ROW_WINS,
-                            doc="rows of F that strictly dominate x")
-    dominates = property(lambda self: self.code == X_WINS,
-                         doc="rows of F strictly dominated by x")
-    identical = property(lambda self: self.code == EQUAL,
-                         doc="rows of F equal to x on every attribute")
-
-
-def _frozen(x: np.ndarray) -> bool:
-    """``x`` cannot change: it is read-only, and so is its memory owner."""
-    base = x.base
-    return not x.flags.writeable and (
-        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
 
 
 class Encoder:
@@ -117,19 +84,20 @@ class Encoder:
         self._idx: np.ndarray | None = None
 
     def encode(self, obj: ObjectValues) -> np.ndarray:
-        """Object attribute values -> read-only ``intp`` vector of global ids."""
+        """Object attribute values -> read-only ``intp`` vector of global
+        ids. The encoder keeps the vector it returned last with its code-row
+        indices, so every profile comparing that object reads them."""
         x = np.array([self._global[k][v] for k, v in enumerate(obj)], dtype=np.intp)
         x.flags.writeable = False
+        self._x, self._idx = x, self.row_index(x)
         return x
 
     def row_index(self, x: np.ndarray) -> np.ndarray:
-        """Table indices of the code row of ``x`` (``K``), ``(Σ n_d,)``."""
+        """Table indices of the code rows of ``x`` (``... x K``), shape
+        ``(..., Σ n_d)``."""
         if x is self._x:
             return self._idx
-        idx = self._off + x[self._attr] * self._stride
-        if _frozen(x):
-            self._x, self._idx = x, idx
-        return idx
+        return self._off + x[..., self._attr] * self._stride
 
 
 class Profile:
@@ -169,24 +137,23 @@ class Profile:
         """Object attribute values -> read-only ``intp`` vector of global ids."""
         return self.encoder.encode(obj)
 
-    def compare(self, frontier: np.ndarray, x: np.ndarray) -> DominanceMasks:
-        """Compare encoded object ``x`` (``K``), or each row of ``x``
-        (``c x K``), against ``frontier`` (``m x K`` global ids)."""
+    def compare(self, frontier: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """AND-reduced codes of encoded object ``x`` (``K``) against each row
+        of ``frontier`` (``m x K`` global ids), ``(m,)``, or of each row of
+        ``x`` (``c x K``), ``(c, m)``; the size is the pairs compared. A
+        profile keeps its code row of the vector the encoder returned last."""
         enc = self.encoder
         if x.ndim == 2:
             idx = enc._off[frontier.T] + (x * enc.n)[:, :, None]
-            code = np.bitwise_and.reduce(self._table[idx], axis=1)
-        else:
-            if x is not self._x:
-                self._row = self._table[enc.row_index(x)]
-                self._x = x if x is enc._x else None
-            code = np.bitwise_and.reduce(self._row[frontier.T], axis=0)
-        return DominanceMasks(code, code.size)
+            return np.bitwise_and.reduce(self._table[idx], axis=1)
+        if x is not self._x:
+            self._row = self._table[enc.row_index(x)]
+            self._x = x if x is enc._x else None
+        return np.bitwise_and.reduce(self._row[frontier.T], axis=0)
 
     def dominates(self, a: ObjectValues, b: ObjectValues) -> bool:
         """Scalar ``a ≻ b`` (Def. 2) — convenience for tests and oracles."""
-        masks = self.compare(self.encode(b)[None, :], self.encode(a))
-        return bool(masks.dominates[0])
+        return bool(self.compare(self.encode(b)[None, :], self.encode(a))[0] == X_WINS)
 
 
 class ProfileStack:
@@ -209,12 +176,11 @@ class ProfileStack:
         profile ``which[k]`` comparing ``x`` (``K``), or ``x[k]`` when ``x``
         is ``(len(which), K)``, against ``frontier`` (``m x K``), as
         :meth:`Profile.compare` gives it."""
-        enc = self.encoder
         # Each object's code row under its profile (Σ n_d codes), then the
         # frontier's columns of it: the only (len(which), K, m) array is
         # of codes, not of table indices.
         start = np.asarray(which, dtype=np.intp)[:, None] * self.tables.shape[1]
-        code_rows = self.tables.ravel().take(start + enc._off + x[..., enc._attr] * enc._stride)
+        code_rows = self.tables.ravel().take(start + self.encoder.row_index(x))
         return np.bitwise_and.reduce(code_rows[:, frontier.T], axis=1)
 
 
@@ -247,7 +213,7 @@ def brute_force_frontier(
     ids = list(objects)
     mat = np.array([profile.encode(objects[o]) for o in ids], dtype=np.intp)
     mat = mat.reshape(len(ids), profile.n_attrs)
-    return {o for o, x in zip(ids, mat) if not profile.compare(mat, x).dominated_by.any()}
+    return {o for o, x in zip(ids, mat) if ROW_WINS not in profile.compare(mat, x).tobytes()}
 
 
 @dataclass

@@ -13,10 +13,10 @@ whose column ``i`` encodes ``ids[i]``; :meth:`matrix` is its ``(m, K)``
 view, whose transpose the kernel gathers with. Every update binds a new
 array, read-only, and never writes into the old one, so an array taken
 from :meth:`matrix` (or a row of it) stays valid while the frontier
-changes, and a profile may key its cached code row by such a row: an
-append is one ``np.concatenate`` on axis 1, a discard one of the slices on
-either side of the row, an eviction one ``compress`` on axis 1 (a boolean
-index there gives a column-major array, which later concatenates keep).
+changes: an append is one ``np.concatenate`` on axis 1, a discard one of
+the slices on either side of the row, an eviction one ``compress`` on
+axis 1 (a boolean index there gives a column-major array, which later
+concatenates keep).
 A frontier is not pickled as such: an engine's state keeps each object's
 row once, as local ``int32`` value ids, and every frontier as indices into
 them (``core/sliding.py``), so only the rows in use reach the state.
@@ -63,13 +63,13 @@ class Frontier:
 
     def insert(self, oid: ObjectId, x: np.ndarray) -> InsertResult:
         """Compare-and-update per Alg. 1; returns eviction list and work."""
-        masks = self.profile.compare(self.matrix(), x)
-        code = masks.code.tobytes()
-        if ROW_WINS in code:
-            return InsertResult(False, [], masks.n_compared)
-        removed = self._evict(masks.code) if X_WINS in code else []
+        code = self.profile.compare(self.matrix(), x)
+        found = code.tobytes()
+        if ROW_WINS in found:
+            return InsertResult(False, [], code.size)
+        removed = self._evict(code) if X_WINS in found else []
         self.add_unchecked(oid, x)
-        return InsertResult(True, removed, masks.n_compared)
+        return InsertResult(True, removed, code.size)
 
     def _evict(self, code: np.ndarray) -> list[ObjectId]:
         """Drop the rows that ``x`` dominates (``code`` ``X_WINS``); the
@@ -80,11 +80,6 @@ class Frontier:
         self.ids = list(compress(self.ids, flags))
         self._set_rows(self._rows.compress(keep, axis=1))
         return removed
-
-    def dominated_by_frontier(self, x: np.ndarray) -> tuple[bool, int]:
-        """Read-only check: whether a row dominates ``x``, and the work."""
-        masks = self.profile.compare(self.matrix(), x)
-        return ROW_WINS in masks.code.tobytes(), masks.n_compared
 
     def add_unchecked(self, oid: ObjectId, x: np.ndarray) -> None:
         self.ids.append(oid)

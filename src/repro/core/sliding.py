@@ -105,38 +105,32 @@ class _Buffer(Frontier):
         """``refreshParetoBufferSW``: drop members the newcomer dominates
         (they precede it, so by Thm. 5 they are done), then append it.
         Returns the number of comparisons performed."""
-        masks = self.profile.compare(self.matrix(), x)
-        if X_WINS in masks.code.tobytes():
-            self._evict(masks.code)
+        code = self.profile.compare(self.matrix(), x)
+        if X_WINS in code.tobytes():
+            self._evict(code)
         self.add_unchecked(oid, x)
-        return masks.n_compared
-
-    def dominated_by(self, x_out: np.ndarray) -> list[tuple[Key, np.ndarray]]:
-        """Members strictly dominated by the expiring object, oldest first."""
-        rows = self.matrix()
-        masks = self.profile.compare(rows, x_out)
-        return [(self.ids[i], rows[i]) for i in np.flatnonzero(masks.dominates)]
+        return code.size
 
 
 def _pack(stores: list[Frontier], col: np.ndarray | None) -> tuple:
-    """The objects ``stores`` hold, each once: ``(ids, steps, rows, index,
-    lengths)``, where store ``k`` is ``index[sum(lengths[:k]):][:lengths[k]]``
-    into ``ids``/``steps``/``rows``. ``rows`` holds local ``int32`` value ids
-    (global id minus the attribute's ``col``); ``steps``, ``index`` and
-    ``lengths`` take the narrowest unsigned dtype that fits."""
+    """The objects ``stores`` hold, each once and in step order: ``(ids,
+    steps, rows, index, lengths)``, where store ``k`` is
+    ``index[sum(lengths[:k]):][:lengths[k]]`` into ``ids``/``steps``/``rows``.
+    Each step is one object, so the step alone names it. ``rows`` holds
+    local ``int32`` value ids (global id minus the attribute's ``col``);
+    ``steps``, ``index`` and ``lengths`` take the narrowest unsigned dtype
+    that fits."""
     keys = [key for fr in stores for key in fr.ids]
     if stores:
         rows = (np.concatenate([fr._rows for fr in stores], axis=1) - col[:, None]).T
         rows = rows.astype(np.int32, order="C")
     else:
         rows = np.zeros((0, 0), np.int32)
-    slot: dict = {}
-    index = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
-    first = np.unique(index, return_index=True)[1]
-    steps = np.array([step for step, _ in slot], dtype=np.int64)
+    steps, first, index = np.unique(np.array([step for step, _ in keys], dtype=np.int64),
+                                    return_index=True, return_inverse=True)
     lengths = np.array([len(fr) for fr in stores])
     return (
-        [oid for _, oid in slot],
+        [keys[i][1] for i in first.tolist()],
         steps.astype(np.min_scalar_type(steps.max(initial=0))),
         rows[first],
         index.astype(np.min_scalar_type(max(len(first) - 1, 0))),
@@ -248,12 +242,12 @@ class _Engine:
         count is ``|fr|`` per candidate plus a cumulative sum."""
         p, rows = buf.profile, buf.matrix()  # fr has the same profile
         self.counter.add("buffer", len(buf))
-        cands = np.flatnonzero(p.compare(rows, x_out).code == X_WINS)
+        cands = np.flatnonzero(p.compare(rows, x_out) == X_WINS)
         if not cands.size:
             return []
         xs = rows[cands]
-        beaten = (p.compare(fr.matrix(), xs).code == ROW_WINS).any(axis=1)
-        beaten |= (p.compare(xs, xs).code == ROW_WINS).any(axis=1)
+        beaten = (p.compare(fr.matrix(), xs) == ROW_WINS).any(axis=1)
+        beaten |= (p.compare(xs, xs) == ROW_WINS).any(axis=1)
         won = ~beaten
         self.counter.add(stage, cands.size * len(fr) + int((np.cumsum(won) - won).sum()))
         promoted = [buf.ids[i] for i in cands[won].tolist()]
@@ -417,11 +411,9 @@ class FTVSWEngine(_Engine):
         each. No row of ``P_c`` is a candidate: ``P_c`` held ``o_out`` and
         no row of a frontier dominates another."""
         frs = [self.user_frontiers[c] for c in cl.members]
-        holders = [h for h, fr in enumerate(frs) if out in fr.ids]
+        holders = [h for h, fr in enumerate(frs) if fr.discard(out)]
         if not holders:
             return
-        for h in holders:
-            frs[h].discard(out)
         fr_u = self.cluster_frontiers[cl.cluster_id]
         pu = fr_u.matrix()
         out_dom = stack.compare(holders, pu, x_out)

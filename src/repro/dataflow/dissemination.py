@@ -7,17 +7,16 @@ preferences, the attributes, domains and window) once, on the driver.
 Inside a Spark worker, ``make_engine`` gives the group its first engine
 and ``attach`` makes an engine unpickled from the state store runnable
 again. Both take the profiles from a fresh engine that each worker builds
-once per payload and keeps in a small cache keyed by the payload's digest
+once per payload and keeps in a small cache keyed by the payload bytes
 (a reused worker serves many queries). The query itself lives in
 ``repro.dataflow.streaming``.
 """
 from __future__ import annotations
 
-import hashlib
+import functools
 import pickle
 import sys
 import zipimport
-from collections import OrderedDict
 from typing import Mapping, Sequence
 
 from repro.core.common import Cluster
@@ -37,24 +36,12 @@ def _payload(
     return pickle.dumps((list(clusters), members, tuple(attrs), dict(domains), window))
 
 
-_CACHE_SIZE = 64
-#: payload digest -> fresh engine. A module global, because it must outlive
-#: the calls of the query's per-group function within one worker process.
-_configured: OrderedDict[bytes, FTVSWEngine] = OrderedDict()
-
-
+@functools.lru_cache(maxsize=64)
 def _configuration(payload: bytes) -> FTVSWEngine:
-    """The fresh engine of ``payload``, built once per worker while it
-    stays among the ``_CACHE_SIZE`` most recently used."""
-    key = hashlib.blake2b(payload, digest_size=16).digest()
-    if key in _configured:
-        _configured.move_to_end(key)
-    else:
-        clusters, members, attrs, domains, window = pickle.loads(payload)
-        _configured[key] = FTVSWEngine(attrs, clusters, members, domains, window=window)
-        if len(_configured) > _CACHE_SIZE:
-            _configured.popitem(last=False)
-    return _configured[key]
+    """The fresh engine of ``payload``, built once per worker process while
+    it stays among the most recently used."""
+    clusters, members, attrs, domains, window = pickle.loads(payload)
+    return FTVSWEngine(attrs, clusters, members, domains, window=window)
 
 
 def attach(engine: FTVSWEngine, payload: bytes) -> FTVSWEngine:

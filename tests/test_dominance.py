@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dominance import (
+    EQUAL,
+    ROW_WINS,
+    X_WINS,
     ComparisonCounter,
     Encoder,
     Profile,
@@ -96,11 +99,11 @@ def test_compare_masks_equal_closure_row_by_row(case):
     attrs, prefs, domains, rows, x = case
     profile = Profile(attrs, prefs, domains)
     frontier = np.array([profile.encode(r) for r in rows], dtype=np.int32)
-    m = profile.compare(frontier.reshape(len(rows), len(attrs)), profile.encode(x))
-    assert m.n_compared == len(rows)
-    assert m.dominated_by.tolist() == [dominates_by_closure(attrs, prefs, r, x) for r in rows]
-    assert m.dominates.tolist() == [dominates_by_closure(attrs, prefs, x, r) for r in rows]
-    assert m.identical.tolist() == [r == x for r in rows]
+    code = profile.compare(frontier.reshape(len(rows), len(attrs)), profile.encode(x))
+    assert code.size == len(rows)
+    assert (code == ROW_WINS).tolist() == [dominates_by_closure(attrs, prefs, r, x) for r in rows]
+    assert (code == X_WINS).tolist() == [dominates_by_closure(attrs, prefs, x, r) for r in rows]
+    assert (code == EQUAL).tolist() == [r == x for r in rows]
 
 
 @given(profile_rows_and_object(), st.data())
@@ -115,13 +118,13 @@ def test_compare_2d_equals_1d_row_by_row(case, data):
     frontier = np.array([profile.encode(r) for r in rows], dtype=np.int32)
     frontier = frontier.reshape(len(rows), len(attrs))
     X = np.array([profile.encode(o) for o in objs], dtype=np.int32).reshape(len(objs), len(attrs))
-    m = profile.compare(frontier, X)
-    assert m.code.shape == (len(objs), len(rows))
-    assert m.n_compared == len(objs) * len(rows)
+    code = profile.compare(frontier, X)
+    assert code.shape == (len(objs), len(rows))
+    assert code.size == len(objs) * len(rows)
     for i in range(len(objs)):
         one = profile.compare(frontier, X[i])
-        for mask in ("dominated_by", "dominates", "identical"):
-            assert getattr(m, mask)[i].tolist() == getattr(one, mask).tolist(), (i, mask)
+        for mask in (ROW_WINS, X_WINS, EQUAL):
+            assert (code[i] == mask).tolist() == (one == mask).tolist(), (i, mask)
 
 
 def _spo_over(data, dom):
@@ -157,7 +160,7 @@ def test_cached_code_rows_equal_closure(case, data):
     def check(k, x_arr, x_objs):
         """Profile ``k`` on ``x_arr``, whose rows hold ``x_objs``."""
         profile, p = profiles[k]
-        code = profile.compare(frontier, x_arr).code.reshape(len(x_objs), len(rows))
+        code = profile.compare(frontier, x_arr).reshape(len(x_objs), len(rows))
         for obj, c in zip(x_objs, code):
             assert (c == 1).tolist() == [dominates_by_closure(attrs, p, r, obj) for r in rows]
             assert (c == 2).tolist() == [dominates_by_closure(attrs, p, obj, r) for r in rows]
@@ -213,11 +216,11 @@ def test_profile_stack_rows_equal_profile_compare(case, data):
     codes = stack.compare(which, frontier, enc.encode(x))
     assert codes.shape == (len(which), len(rows))
     for k, h in enumerate(which):
-        assert codes[k].tolist() == profiles[h].compare(frontier, enc.encode(x)).code.tolist()
+        assert codes[k].tolist() == profiles[h].compare(frontier, enc.encode(x)).tolist()
     paired = stack.compare(which, frontier, X)
     assert paired.shape == (len(which), len(rows))
     for k, h in enumerate(which):
-        assert paired[k].tolist() == profiles[h].compare(frontier, X[k]).code.tolist()
+        assert paired[k].tolist() == profiles[h].compare(frontier, X[k]).tolist()
 
 
 class TestProfileBasics:
@@ -241,16 +244,16 @@ class TestProfileBasics:
     def test_compare_masks_partition(self):
         pr = self._simple()
         F = np.vstack([pr.encode(v) for v in [("hi", "hi"), ("lo", "lo"), ("hi", "lo")]])
-        m = pr.compare(F, pr.encode(("hi", "lo")))
-        assert m.n_compared == 3
-        assert m.dominated_by.tolist() == [True, False, False]
-        assert m.dominates.tolist() == [False, True, False]
-        assert m.identical.tolist() == [False, False, True]
+        code = pr.compare(F, pr.encode(("hi", "lo")))
+        assert code.size == 3
+        assert (code == ROW_WINS).tolist() == [True, False, False]
+        assert (code == X_WINS).tolist() == [False, True, False]
+        assert (code == EQUAL).tolist() == [False, False, True]
 
     def test_empty_frontier(self):
         pr = self._simple()
-        m = pr.compare(np.zeros((0, 2), dtype=np.int32), pr.encode(("hi", "lo")))
-        assert m.n_compared == 0 and not m.dominated_by.any()
+        code = pr.compare(np.zeros((0, 2), dtype=np.int32), pr.encode(("hi", "lo")))
+        assert code.size == 0 and not (code == ROW_WINS).any()
 
     def test_encode_unknown_value_raises(self):
         pr = self._simple()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dominance import Profile
+from repro.core.dominance import X_WINS, Profile
 from repro.core.frontier import Frontier
 from repro.core.sliding import _Buffer
 from repro.posets.poset import Poset
@@ -113,7 +113,9 @@ class TestMaintenance:
         step(frontier, frontier.discard, "o4")
         assert frontier.ids == ["o3", "o5"]
         objs["o6"] = ("a", "a")
-        handed_out = buffer.dominated_by(enc(profile, objs["o6"]))
+        rows = buffer.matrix()
+        beaten = np.flatnonzero(profile.compare(rows, enc(profile, objs["o6"])) == X_WINS)
+        handed_out = [(buffer.ids[i], rows[i]) for i in beaten]
         step(buffer, buffer.discard, "o4")
         step(buffer, buffer.refresh, "o6", enc(profile, objs["o6"]))
         assert buffer.ids == ["o6"]
@@ -143,12 +145,6 @@ class TestMaintenance:
         step(frontier.discard, "o5")
         step(frontier.insert, "o4", enc(profile, objs["o4"]))
         assert frontier.ids == ["o4"]
-
-    def test_dominated_by_frontier_readonly(self, profile, frontier):
-        frontier.insert("o1", enc(profile, ("a", "a")))
-        dominated, n = frontier.dominated_by_frontier(enc(profile, ("b", "b")))
-        assert dominated and n == 1
-        assert frontier.ids == ["o1"]  # unchanged
 
     def test_add_unchecked(self, profile, frontier):
         frontier.add_unchecked("o1", enc(profile, ("c", "c")))

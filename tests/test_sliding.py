@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.approx import approx_cluster_relation
 from repro.core.common import Cluster, cluster_common_relation, make_exact_clusters
-from repro.core.dominance import ROW_WINS, Profile, brute_force_frontier
+from repro.core.dominance import ROW_WINS, X_WINS, Profile, brute_force_frontier
 from repro.core.sliding import BaselineSWEngine, FTVSWEngine
 from repro.datasets import laptop, movie
 from repro.experiments.harness import build_dendrogram, clusters_for
@@ -318,13 +318,15 @@ class _SequentialMend:
     match it pair for pair and count for count."""
 
     def _mend(self, fr, buf, x_out, stage):
-        candidates = buf.dominated_by(x_out)
+        rows = buf.matrix()
+        candidates = np.flatnonzero(buf.profile.compare(rows, x_out) == X_WINS)
         self.counter.add("buffer", len(buf))
         promoted = []
-        for cand, cand_x in candidates:
-            dominated, n = fr.dominated_by_frontier(cand_x)
-            self.counter.add(stage, n)
-            if not dominated:
+        for i in candidates:
+            cand, cand_x = buf.ids[i], rows[i]
+            code = fr.profile.compare(fr.matrix(), cand_x)
+            self.counter.add(stage, code.size)
+            if ROW_WINS not in code.tobytes():
                 fr.add_unchecked(cand, cand_x)
                 promoted.append(cand)
         return promoted
@@ -337,14 +339,14 @@ class _SequentialMend:
             if not fr_c.discard(out):
                 continue
             out_dom = fr_c.profile.compare(pu, x_out)
-            self.counter.add("user", out_dom.n_compared)
+            self.counter.add("user", out_dom.size)
             in_pc = set(fr_c.ids)
-            for i in np.flatnonzero(out_dom.dominates):
+            for i in np.flatnonzero(out_dom == X_WINS):
                 if pu_ids[i] in in_pc:
                     continue
-                masks = fr_c.profile.compare(pu, pu[i])
-                self.counter.add("user", masks.n_compared)
-                if ROW_WINS not in masks.code.tobytes():
+                code = fr_c.profile.compare(pu, pu[i])
+                self.counter.add("user", code.size)
+                if ROW_WINS not in code.tobytes():
                     fr_c.add_unchecked(pu_ids[i], pu[i])
                     self.disseminated.add((c, pu_ids[i][1]))
 

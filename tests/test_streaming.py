@@ -143,7 +143,7 @@ def test_worker_builds_profiles_once_per_payload(ds, clusters, monkeypatch):
     """New and restored engines of one payload share the profiles of one
     cached engine; another payload (here another window) gets its own."""
     built = []
-    monkeypatch.setattr(dissemination, "_configured", type(dissemination._configured)())
+    dissemination._configuration.cache_clear()
     monkeypatch.setattr(dissemination, "FTVSWEngine",
                         lambda *a, **kw: built.append(a) or FTVSWEngine(*a, **kw))
     payload = dissemination._payload(clusters, ds.prefs, ds.attrs, ds.domains, 25)
@@ -163,13 +163,13 @@ def test_worker_builds_profiles_once_per_payload(ds, clusters, monkeypatch):
 
 def test_query_clusters_never_evict_each_other(ds, monkeypatch):
     """One engine serves every cluster of a query, so even with more
-    clusters than ``_CACHE_SIZE`` the worker builds it once."""
+    clusters than the payload cache holds the worker builds it once."""
     built = []
-    monkeypatch.setattr(dissemination, "_configured", type(dissemination._configured)())
+    dissemination._configuration.cache_clear()
     monkeypatch.setattr(dissemination, "FTVSWEngine",
                         lambda *a, **kw: built.append(a) or FTVSWEngine(*a, **kw))
     users = sorted(ds.users)
-    n = dissemination._CACHE_SIZE + 6
+    n = dissemination._configuration.cache_info().maxsize + 6
     prefs = {f"u{i}": ds.prefs[users[i % len(users)]] for i in range(n)}
     singles = make_exact_clusters([[c] for c in prefs], prefs, ds.attrs)
     payload = dissemination._payload(singles, prefs, ds.attrs, ds.domains, 25)
